@@ -69,12 +69,12 @@ pub struct ApRunStats {
     /// Report traffic in bits (32 bits of id + offset bookkeeping per report, per
     /// the paper's §VI-C accounting).
     pub report_bits: u64,
-    /// Lane word width when the bit-parallel lane core executed this run
-    /// ([`ap_sim::lanes::MAX_LANES`]), or 0 for the scalar and behavioural
-    /// paths.
+    /// Lane word width of a cycle-accurate run ([`ap_sim::lanes::MAX_LANES`]),
+    /// or 0 when nothing was simulated (behavioural execution, an empty batch
+    /// or an empty dataset).
     pub lane_width: usize,
     /// Fraction of lane slots that carried a live query:
-    /// `queries / (passes × lane_width)`. 0.0 when the lane core did not run.
+    /// `queries / (passes × lane_width)`. 0.0 when nothing was simulated.
     pub lane_fill: f64,
     /// Wall-clock estimate (streaming + reconfiguration).
     pub estimate: ExecutionEstimate,
@@ -87,13 +87,6 @@ impl ApRunStats {
     }
 }
 
-/// Smallest cycle-accurate batch routed through the bit-parallel lane core.
-/// Even two queries already halve the streamed cycles (one shared window
-/// instead of two), so the default threshold is the smallest batch where
-/// lanes can win; single queries stay on the scalar core, which has no
-/// per-cycle group/class bookkeeping.
-pub const DEFAULT_LANE_THRESHOLD: usize = 2;
-
 /// The AP kNN engine.
 #[derive(Clone, Debug)]
 pub struct ApKnnEngine {
@@ -103,7 +96,6 @@ pub struct ApKnnEngine {
     throughput: ThroughputModel,
     parallelism: usize,
     strict_analysis: bool,
-    lane_threshold: usize,
 }
 
 impl ApKnnEngine {
@@ -119,26 +111,7 @@ impl ApKnnEngine {
             throughput: ThroughputModel::PaperPipelined,
             parallelism: std::thread::available_parallelism().map_or(1, |p| p.get()),
             strict_analysis: false,
-            lane_threshold: DEFAULT_LANE_THRESHOLD,
         }
-    }
-
-    /// Overrides the smallest cycle-accurate batch that runs on the
-    /// bit-parallel lane core (64 queries per pass) instead of the scalar
-    /// window-per-query core. Results and all non-lane statistics are
-    /// bit-identical either way; `usize::MAX` disables the lane path.
-    ///
-    /// # Panics
-    /// Panics if `threshold` is zero (a zero-query batch streams nothing).
-    pub fn with_lane_threshold(mut self, threshold: usize) -> Self {
-        assert!(threshold > 0, "lane threshold must be at least 1");
-        self.lane_threshold = threshold;
-        self
-    }
-
-    /// The smallest cycle-accurate batch routed through the lane core.
-    pub fn lane_threshold(&self) -> usize {
-        self.lane_threshold
     }
 
     /// Enables (or disables) strict static analysis: every compiled board
@@ -310,7 +283,7 @@ impl ApKnnEngine {
             reports,
             report_bits,
             // The accounting model is execution-core-agnostic; the prepared
-            // engine overwrites the lane gauges when the lane core ran.
+            // engine overwrites the lane gauges for a cycle-accurate run.
             lane_width: 0,
             lane_fill: 0.0,
             estimate,
@@ -613,37 +586,44 @@ mod tests {
     }
 
     #[test]
-    fn lane_threshold_routes_batches_and_surfaces_in_stats() {
+    fn cycle_accurate_batches_run_on_lanes_and_surface_in_stats() {
         let dims = 12;
         let data = uniform_dataset(30, dims, 41);
-        let queries = uniform_queries(5, dims, 42);
+        let all_queries = uniform_queries(70, dims, 42);
         let options = QueryOptions::top(4);
         let design = KnnDesign::new(dims);
-        // Default threshold: a 5-query batch runs on the lane core.
         let laned = ApKnnEngine::new(design);
-        assert_eq!(laned.lane_threshold(), DEFAULT_LANE_THRESHOLD);
-        let (lane_results, lane_stats) = laned.try_search_batch(&data, &queries, &options).unwrap();
-        assert_eq!(lane_stats.lane_width, ap_sim::MAX_LANES);
-        assert!((lane_stats.lane_fill - 5.0 / 64.0).abs() < 1e-12);
-        // Threshold usize::MAX: the same batch runs scalar; neighbors and all
-        // non-lane statistics are bit-identical.
-        let scalar = ApKnnEngine::new(design).with_lane_threshold(usize::MAX);
-        let (scalar_results, scalar_stats) =
-            scalar.try_search_batch(&data, &queries, &options).unwrap();
-        assert_eq!(scalar_stats.lane_width, 0);
-        assert_eq!(scalar_stats.lane_fill, 0.0);
-        assert_eq!(lane_results, scalar_results);
-        let normalized = ApRunStats {
-            lane_width: 0,
-            lane_fill: 0.0,
-            ..lane_stats
-        };
-        assert_eq!(normalized, scalar_stats);
-        // Single queries stay scalar even at the default threshold.
-        let (_, single) = laned
-            .try_search_batch(&data, &queries[..1], &options)
-            .unwrap();
-        assert_eq!(single.lane_width, 0);
+        let behavioral = ApKnnEngine::new(design).with_mode(ExecutionMode::Behavioral);
+        // A single query, a partly filled pass, and a batch that spills into
+        // a second pass all run on the lane core.
+        for width in [1usize, 5, 70] {
+            let queries = &all_queries[..width];
+            let (lane_results, lane_stats) =
+                laned.try_search_batch(&data, queries, &options).unwrap();
+            let passes = width.div_ceil(ap_sim::MAX_LANES);
+            assert_eq!(lane_stats.lane_width, ap_sim::MAX_LANES, "width {width}");
+            assert_eq!(
+                lane_stats.lane_fill,
+                width as f64 / (passes * ap_sim::MAX_LANES) as f64,
+                "width {width}"
+            );
+            // The behavioural arm shares no code with the lane core: neighbors
+            // and all non-lane statistics are bit-identical.
+            let (behavioral_results, behavioral_stats) = behavioral
+                .try_search_batch(&data, queries, &options)
+                .unwrap();
+            assert_eq!(behavioral_stats.lane_width, 0);
+            assert_eq!(behavioral_stats.lane_fill, 0.0);
+            assert_eq!(lane_results, behavioral_results, "width {width}");
+            let normalized = ApRunStats {
+                lane_width: 0,
+                lane_fill: 0.0,
+                ..lane_stats
+            };
+            assert_eq!(normalized, behavioral_stats, "width {width}");
+            // Neither does the exact scan.
+            assert_eq!(lane_results, exact_results(&data, queries, 4));
+        }
     }
 
     #[test]

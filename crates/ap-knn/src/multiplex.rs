@@ -25,9 +25,7 @@ use serde::{Deserialize, Serialize};
 /// Maximum number of queries that share one symbol stream.
 pub const MAX_SLICES: usize = 7;
 
-/// Encodes up to [`MAX_SLICES`] queries into one multiplexed window,
-/// *appending* to a caller-owned buffer — the serving hot path encodes every
-/// window of a batch into one pooled allocation.
+/// Encodes up to [`MAX_SLICES`] queries into one multiplexed window.
 ///
 /// Bit `s` of data symbol `i` carries dimension `i` of query `s`; unused slices are
 /// zero-filled. Control symbols are unchanged.
@@ -35,11 +33,7 @@ pub const MAX_SLICES: usize = 7;
 /// # Panics
 /// Panics if more than [`MAX_SLICES`] queries are supplied, the slice is empty, or
 /// any query has the wrong dimensionality.
-pub fn encode_multiplexed_window_into(
-    layout: &StreamLayout,
-    queries: &[&BinaryVector],
-    out: &mut Vec<u8>,
-) {
+pub fn encode_multiplexed_window(layout: &StreamLayout, queries: &[&BinaryVector]) -> Vec<u8> {
     assert!(!queries.is_empty(), "need at least one query");
     assert!(
         queries.len() <= MAX_SLICES,
@@ -48,7 +42,7 @@ pub fn encode_multiplexed_window_into(
     for q in queries {
         assert_eq!(q.dims(), layout.dims, "query dims mismatch");
     }
-    out.reserve(layout.window_len());
+    let mut out = Vec::with_capacity(layout.window_len());
     out.push(layout.sof);
     for i in 0..layout.dims {
         let mut symbol = 0u8;
@@ -61,55 +55,7 @@ pub fn encode_multiplexed_window_into(
     }
     out.extend(std::iter::repeat_n(layout.filler, layout.filler_count()));
     out.push(layout.eof);
-}
-
-/// Encodes up to [`MAX_SLICES`] queries into one multiplexed window. See
-/// [`encode_multiplexed_window_into`] for the buffer-reusing form.
-///
-/// # Panics
-/// Panics if more than [`MAX_SLICES`] queries are supplied, the slice is empty, or
-/// any query has the wrong dimensionality.
-pub fn encode_multiplexed_window(layout: &StreamLayout, queries: &[&BinaryVector]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(layout.window_len());
-    encode_multiplexed_window_into(layout, queries, &mut out);
     out
-}
-
-/// Encodes a batch of queries into consecutive multiplexed windows of up to
-/// [`MAX_SLICES`] queries each, into caller-owned buffers (both cleared
-/// first): `stream` receives the symbols, `occupancy` the number of queries
-/// each window carries.
-pub fn encode_multiplexed_batch_into(
-    layout: &StreamLayout,
-    queries: &[BinaryVector],
-    stream: &mut Vec<u8>,
-    occupancy: &mut Vec<usize>,
-) {
-    stream.clear();
-    occupancy.clear();
-    stream.reserve(layout.window_len() * queries.len().div_ceil(MAX_SLICES));
-    // One reference scratch reused across every window of the batch.
-    let mut window: Vec<&BinaryVector> = Vec::with_capacity(MAX_SLICES);
-    for chunk in queries.chunks(MAX_SLICES) {
-        window.clear();
-        window.extend(chunk.iter());
-        encode_multiplexed_window_into(layout, &window, stream);
-        occupancy.push(chunk.len());
-    }
-}
-
-/// Encodes a batch of queries into consecutive multiplexed windows of up to
-/// [`MAX_SLICES`] queries each. Returns the stream and, per window, the number of
-/// queries it carries. See [`encode_multiplexed_batch_into`] for the
-/// buffer-reusing form.
-pub fn encode_multiplexed_batch(
-    layout: &StreamLayout,
-    queries: &[BinaryVector],
-) -> (Vec<u8>, Vec<usize>) {
-    let mut stream = Vec::new();
-    let mut occupancy = Vec::new();
-    encode_multiplexed_batch_into(layout, queries, &mut stream, &mut occupancy);
-    (stream, occupancy)
 }
 
 /// Appends the bit-slice variant of a vector macro for query slice `slice`.
@@ -241,33 +187,6 @@ mod tests {
         for &s in &stream[1..=dims] {
             assert_eq!(s, 0b0000_0001);
         }
-    }
-
-    #[test]
-    fn batch_encoder_splits_into_windows_of_seven() {
-        let design = KnnDesign::new(8);
-        let layout = StreamLayout::for_design(&design);
-        let queries = uniform_queries(16, 8, 52);
-        let (stream, occupancy) = encode_multiplexed_batch(&layout, &queries);
-        assert_eq!(occupancy, vec![7, 7, 2]);
-        assert_eq!(stream.len(), 3 * layout.window_len());
-    }
-
-    #[test]
-    fn into_variants_match_the_allocating_forms_and_reuse_buffers() {
-        let design = KnnDesign::new(8);
-        let layout = StreamLayout::for_design(&design);
-        let queries = uniform_queries(16, 8, 53);
-        let (expected_stream, expected_occupancy) = encode_multiplexed_batch(&layout, &queries);
-        let mut stream = Vec::new();
-        let mut occupancy = Vec::new();
-        encode_multiplexed_batch_into(&layout, &queries, &mut stream, &mut occupancy);
-        assert_eq!(stream, expected_stream);
-        assert_eq!(occupancy, expected_occupancy);
-        let capacity = stream.capacity();
-        encode_multiplexed_batch_into(&layout, &queries, &mut stream, &mut occupancy);
-        assert_eq!(stream.capacity(), capacity, "warm buffer must not grow");
-        assert_eq!(stream, expected_stream);
     }
 
     #[test]

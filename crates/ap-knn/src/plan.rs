@@ -26,6 +26,7 @@
 //! planner only needs to know whether a run costs milliseconds or minutes.
 
 use crate::engine::ExecutionMode;
+use ap_sim::lanes::MAX_LANES;
 use serde::{Deserialize, Serialize};
 
 /// Fixed per-symbol overhead of the compiled core, nanoseconds (fit intercept).
@@ -34,12 +35,23 @@ pub const BASE_NS_PER_SYMBOL: f64 = 1_700.0;
 pub const NS_PER_ELEMENT_SYMBOL: f64 = 0.48;
 /// Default simulation budget: runs estimated under this stay cycle-accurate.
 pub const DEFAULT_BUDGET_S: f64 = 0.25;
-/// How much more one lane-core cycle costs than one scalar symbol step: the
-/// lane core touches 64-bit words per element where the scalar core touches
-/// a sparse frontier, so a lane cycle is a small constant factor heavier —
-/// but a 64-query batch needs ~64× fewer cycles, so the lane path wins
-/// whenever the batch fills more than a few lanes (`sim_lanes` bench).
-pub const LANE_CYCLE_COST_FACTOR: f64 = 3.0;
+/// Cost of one lane-core cycle relative to the fitted per-symbol cost above,
+/// with one lane occupied: `apbench` measures a width-1 lane pass at 0.97× the
+/// scalar pass on the 512×64 shape (`sim.lane1_vs_scalar_x`).
+const LANE_CYCLE_COST_WIDTH_1: f64 = 1.0;
+/// The same with all 64 lanes occupied: the `sim_lanes` bench measures a
+/// 13.2× speed-up over 64 lanes, so a full cycle costs 64 / 13.2 ≈ 4.8×.
+const LANE_CYCLE_COST_WIDTH_64: f64 = 4.8;
+
+/// Cost of one lane cycle with `width` lanes occupied, as a multiple of the
+/// fitted per-symbol cost: interpolated linearly between the two measured
+/// widths.
+fn lane_cycle_cost(width: usize) -> f64 {
+    let occupied = width.clamp(1, MAX_LANES) as f64;
+    LANE_CYCLE_COST_WIDTH_1
+        + (LANE_CYCLE_COST_WIDTH_64 - LANE_CYCLE_COST_WIDTH_1) * (occupied - 1.0)
+            / (MAX_LANES - 1) as f64
+}
 
 /// Picks an [`ExecutionMode`] from fabric size × stream length using the
 /// measured `BENCH_sim.json` cost model.
@@ -84,54 +96,28 @@ impl AutoPlanner {
         self
     }
 
-    /// Estimated wall-clock seconds to simulate `total_symbols` symbols on
-    /// boards of `board_elements` fabric elements each. Callers with a
-    /// parallel schedule pass their *critical-path* symbol count (symbols on
-    /// the most loaded worker), since that is what sets wall-clock time.
-    pub fn estimated_simulation_s(&self, board_elements: usize, total_symbols: u64) -> f64 {
+    /// Estimated wall-clock seconds for the lane core to run `lane_cycles`
+    /// cycles, `width` lanes occupied, on boards of `board_elements` fabric
+    /// elements each. Callers with a parallel schedule pass their
+    /// *critical-path* cycle count (`window_len × passes × images on the most
+    /// loaded worker`), since that is what sets wall-clock time.
+    pub fn estimated_simulation_s(
+        &self,
+        board_elements: usize,
+        lane_cycles: u64,
+        width: usize,
+    ) -> f64 {
         let ns_per_symbol =
             self.base_ns_per_symbol + self.ns_per_element_symbol * board_elements as f64;
-        total_symbols as f64 * ns_per_symbol * 1e-9
-    }
-
-    /// Estimated wall-clock seconds for the *lane* core to run `lane_cycles`
-    /// cycles on boards of `board_elements` elements: the same linear model
-    /// scaled by [`LANE_CYCLE_COST_FACTOR`]. Callers pass the critical-path
-    /// cycle count (`window_len × passes × critical-path images`).
-    pub fn estimated_lane_simulation_s(&self, board_elements: usize, lane_cycles: u64) -> f64 {
-        self.estimated_simulation_s(board_elements, lane_cycles) * LANE_CYCLE_COST_FACTOR
+        lane_cycles as f64 * ns_per_symbol * lane_cycle_cost(width) * 1e-9
     }
 
     /// The mode the planner selects for a run of this shape: cycle-accurate
     /// while the estimated simulation time fits the budget, behavioural
     /// beyond it. Deterministic in the run shape, so repeated identical
     /// batches always execute the same way.
-    pub fn pick(&self, board_elements: usize, total_symbols: u64) -> ExecutionMode {
-        if self.estimated_simulation_s(board_elements, total_symbols) <= self.budget_s {
-            ExecutionMode::CycleAccurate
-        } else {
-            ExecutionMode::Behavioral
-        }
-    }
-
-    /// [`pick`](Self::pick) for engines whose batch qualifies for the lane
-    /// core: when `lane_cycles` is `Some`, the cycle-accurate cost is the
-    /// *cheaper* of the scalar and lane estimates (the engine routes the batch
-    /// to whichever core the threshold selects, and the lane path typically
-    /// compresses a full batch into ~1/64 of the symbols). `None` degrades to
-    /// the scalar [`pick`](Self::pick).
-    pub fn pick_with_lanes(
-        &self,
-        board_elements: usize,
-        total_symbols: u64,
-        lane_cycles: Option<u64>,
-    ) -> ExecutionMode {
-        let scalar_s = self.estimated_simulation_s(board_elements, total_symbols);
-        let best_s = match lane_cycles {
-            Some(cycles) => scalar_s.min(self.estimated_lane_simulation_s(board_elements, cycles)),
-            None => scalar_s,
-        };
-        if best_s <= self.budget_s {
+    pub fn pick(&self, board_elements: usize, lane_cycles: u64, width: usize) -> ExecutionMode {
+        if self.estimated_simulation_s(board_elements, lane_cycles, width) <= self.budget_s {
             ExecutionMode::CycleAccurate
         } else {
             ExecutionMode::Behavioral
@@ -149,27 +135,12 @@ pub enum ExecutionPlanner {
 }
 
 impl ExecutionPlanner {
-    /// Resolves the mode for a run of the given shape.
-    pub fn pick(&self, board_elements: usize, total_symbols: u64) -> ExecutionMode {
+    /// Resolves the mode for a run of the given shape (see
+    /// [`AutoPlanner::pick`]). Fixed planners ignore the shape.
+    pub fn pick(&self, board_elements: usize, lane_cycles: u64, width: usize) -> ExecutionMode {
         match self {
             Self::Fixed(mode) => *mode,
-            Self::Auto(planner) => planner.pick(board_elements, total_symbols),
-        }
-    }
-
-    /// Resolves the mode when the batch qualifies for the lane core (see
-    /// [`AutoPlanner::pick_with_lanes`]). Fixed planners still ignore shape.
-    pub fn pick_with_lanes(
-        &self,
-        board_elements: usize,
-        total_symbols: u64,
-        lane_cycles: Option<u64>,
-    ) -> ExecutionMode {
-        match self {
-            Self::Fixed(mode) => *mode,
-            Self::Auto(planner) => {
-                planner.pick_with_lanes(board_elements, total_symbols, lane_cycles)
-            }
+            Self::Auto(planner) => planner.pick(board_elements, lane_cycles, width),
         }
     }
 }
@@ -177,6 +148,8 @@ impl ExecutionPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::design::KnnDesign;
+    use crate::stream::StreamLayout;
 
     #[test]
     fn measured_model_reproduces_the_bench_points_roughly() {
@@ -187,7 +160,7 @@ mod tests {
             (18_432, 11_485.0),
             (36_224, 19_196.0),
         ] {
-            let predicted_ns = planner.estimated_simulation_s(elements, 1) * 1e9;
+            let predicted_ns = planner.estimated_simulation_s(elements, 1, 1) * 1e9;
             let err = (predicted_ns - measured_ns).abs() / measured_ns;
             assert!(
                 err < 0.15,
@@ -200,19 +173,22 @@ mod tests {
     fn small_runs_stay_cycle_accurate_large_runs_fall_back() {
         let planner = AutoPlanner::measured();
         // A tiny board and a few windows: well under the budget.
-        assert_eq!(planner.pick(1_344, 10_000), ExecutionMode::CycleAccurate);
+        assert_eq!(planner.pick(1_344, 10_000, 1), ExecutionMode::CycleAccurate);
         // The paper's 2^20-vector regime: thousands of reconfigured windows on
         // full boards — minutes of simulation, so the planner falls back.
-        assert_eq!(planner.pick(150_000, 50_000_000), ExecutionMode::Behavioral);
+        assert_eq!(
+            planner.pick(150_000, 50_000_000, 1),
+            ExecutionMode::Behavioral
+        );
     }
 
     #[test]
     fn budget_moves_the_crossover() {
         let strict = AutoPlanner::measured().with_budget_s(1e-6);
-        assert_eq!(strict.pick(1_344, 10_000), ExecutionMode::Behavioral);
+        assert_eq!(strict.pick(1_344, 10_000, 1), ExecutionMode::Behavioral);
         let generous = AutoPlanner::measured().with_budget_s(1e6);
         assert_eq!(
-            generous.pick(150_000, 50_000_000),
+            generous.pick(150_000, 50_000_000, 1),
             ExecutionMode::CycleAccurate
         );
     }
@@ -220,9 +196,9 @@ mod tests {
     #[test]
     fn fixed_planner_ignores_the_shape() {
         let fixed = ExecutionPlanner::Fixed(ExecutionMode::Behavioral);
-        assert_eq!(fixed.pick(1, 1), ExecutionMode::Behavioral);
+        assert_eq!(fixed.pick(1, 1, 1), ExecutionMode::Behavioral);
         assert_eq!(
-            fixed.pick(usize::MAX >> 1, u64::MAX >> 1),
+            fixed.pick(usize::MAX >> 1, u64::MAX >> 1, MAX_LANES),
             ExecutionMode::Behavioral
         );
     }
@@ -234,30 +210,69 @@ mod tests {
     }
 
     #[test]
+    fn lane_cycle_cost_interpolates_between_the_measured_widths() {
+        assert_eq!(lane_cycle_cost(1), LANE_CYCLE_COST_WIDTH_1);
+        assert_eq!(lane_cycle_cost(MAX_LANES), LANE_CYCLE_COST_WIDTH_64);
+        // Out-of-range widths clamp to the measured ends.
+        assert_eq!(lane_cycle_cost(0), LANE_CYCLE_COST_WIDTH_1);
+        assert_eq!(lane_cycle_cost(1_000), LANE_CYCLE_COST_WIDTH_64);
+        for width in 1..MAX_LANES {
+            assert!(lane_cycle_cost(width) < lane_cycle_cost(width + 1));
+        }
+    }
+
+    #[test]
+    fn width_one_batches_are_priced_as_one_scalar_window_per_image() {
+        // A width-1 lane cycle is priced at the fitted scalar ns/symbol, so
+        // Auto's crossover for a single query sits where the scalar pricing
+        // puts it. For each BENCH_sim.json shape, `last_cycle_accurate` is
+        // the largest critical-path image count that fits the budget:
+        // 0.25 s ÷ ((1 700 + 0.48 · elements) ns × window).
+        let planner = AutoPlanner::measured();
+        for (dims, elements, last_cycle_accurate) in [
+            (16usize, 1_344usize, 2_881u64),
+            (64, 18_432, 178),
+            (128, 36_224, 49),
+        ] {
+            let window = StreamLayout::for_design(&KnnDesign::new(dims)).window_len() as u64;
+            assert_eq!(
+                planner.pick(elements, window, 1),
+                ExecutionMode::CycleAccurate,
+                "dims {dims}: one image"
+            );
+            assert_eq!(
+                planner.pick(elements, window * last_cycle_accurate, 1),
+                ExecutionMode::CycleAccurate,
+                "dims {dims}: {last_cycle_accurate} images"
+            );
+            assert_eq!(
+                planner.pick(elements, window * (last_cycle_accurate + 1), 1),
+                ExecutionMode::Behavioral,
+                "dims {dims}: {} images",
+                last_cycle_accurate + 1
+            );
+        }
+    }
+
+    #[test]
     fn lane_compression_keeps_big_batches_cycle_accurate() {
         let planner = AutoPlanner::measured();
-        // A 64-query batch on a mid-size board: scalar streaming blows the
-        // budget, but one lane pass (1/64 of the symbols at 3× per-cycle
-        // cost) stays well inside it.
+        // A 64-query batch on a mid-size board: 64 windows at the width-1
+        // price blow the budget, but one full-width lane pass (1/64 of the
+        // cycles at 4.8× per-cycle cost) stays well inside it.
         let board = 36_224;
-        let scalar_symbols = 64 * 4_000u64;
-        let lane_cycles = 4_000u64;
+        let lane_cycles = 2_000u64;
         assert_eq!(
-            planner.pick(board, scalar_symbols),
+            planner.pick(board, 64 * lane_cycles, 1),
             ExecutionMode::Behavioral
         );
         assert_eq!(
-            planner.pick_with_lanes(board, scalar_symbols, Some(lane_cycles)),
+            planner.pick(board, lane_cycles, MAX_LANES),
             ExecutionMode::CycleAccurate
-        );
-        // No lane option: degrades to the scalar decision.
-        assert_eq!(
-            planner.pick_with_lanes(board, scalar_symbols, None),
-            ExecutionMode::Behavioral
         );
         // Truly huge lane runs still fall back.
         assert_eq!(
-            planner.pick_with_lanes(board, u64::MAX >> 8, Some(u64::MAX >> 16)),
+            planner.pick(board, u64::MAX >> 16, MAX_LANES),
             ExecutionMode::Behavioral
         );
     }

@@ -15,14 +15,14 @@
 //! the multi-board parallel schedule.
 
 use crate::builder::PartitionNetwork;
-use crate::decode::{merge_lane_reports_into, merge_reports_into};
+use crate::decode::merge_lane_reports_into;
 use crate::design::KnnDesign;
 use crate::engine::{ApKnnEngine, ApRunStats, ExecutionMode};
 use crate::lanes::encode_lane_planes_into;
-use crate::plan::{BASE_NS_PER_SYMBOL, LANE_CYCLE_COST_FACTOR, NS_PER_ELEMENT_SYMBOL};
+use crate::plan::AutoPlanner;
 use crate::stream::StreamLayout;
 use ap_sim::lanes::{LaneReportEvent, LaneState, LaneStream, MAX_LANES};
-use ap_sim::{CompiledNetwork, CompiledState, ReportEvent};
+use ap_sim::CompiledNetwork;
 use binvec::dataset::DatasetPartition;
 use binvec::{
     BinaryDataset, BinaryVector, ExecutionPreference, Neighbor, QueryOptions, SearchError, TopK,
@@ -39,28 +39,19 @@ pub(crate) struct BoardImage {
 }
 
 /// Reusable execution scratch for one batch role (the host merge side of a
-/// batch, or one fan-out worker): compiled-core run state, report sink,
-/// per-query top-k accumulators, the behavioural distance buffer, the encoded
-/// symbol stream, and the per-worker chunk sizes. Everything is recycled
-/// through the [`ScratchPool`], so a steady-state batch touches no allocator.
+/// batch, or one fan-out worker): lane-core run state, report sink, encoded
+/// lane passes, per-query top-k accumulators, and the behavioural distance
+/// buffer. Everything is recycled through the [`ScratchPool`], so a
+/// steady-state batch touches no allocator.
 #[derive(Debug, Default)]
 pub(crate) struct BatchScratch {
-    /// Compiled-core run state, adapted per board image via
-    /// [`CompiledNetwork::recycle_state`]. Created on the first cycle-accurate
-    /// run this scratch serves.
-    pub(crate) state: Option<CompiledState>,
-    /// Report sink reused across the images a worker drives.
-    pub(crate) reports: Vec<ReportEvent>,
     /// Per-query top-k accumulators, re-armed per batch.
     pub(crate) accumulators: Vec<TopK>,
     /// Behavioural-mode per-partition distance buffer.
     pub(crate) distances: Vec<u32>,
-    /// Encoded symbol stream for the batch.
-    pub(crate) stream: Vec<u8>,
-    /// Images run per fan-out worker for the most recent batch.
-    pub(crate) chunks: Vec<usize>,
     /// Lane-core run state, adapted per board image via
-    /// [`CompiledNetwork::recycle_lane_state`].
+    /// [`CompiledNetwork::recycle_lane_state`]. Created on the first
+    /// cycle-accurate run this scratch serves.
     pub(crate) lane_state: Option<LaneState>,
     /// Lane-core report sink reused across images and passes.
     pub(crate) lane_reports: Vec<LaneReportEvent>,
@@ -128,19 +119,20 @@ impl ScratchPool {
     }
 }
 
-/// Minimum estimated simulation work (nanoseconds) a fan-out worker must have
+/// Minimum estimated simulation work (seconds) a fan-out worker must have
 /// before spawning it pays: below this, thread spawn + scratch checkout + host
 /// merge overhead eats the parallel win (the committed `wide` shape recorded a
-/// 0.99× "speedup" for exactly this reason). The estimate reuses the planner's
+/// 0.99× "speedup" for exactly this reason). The estimate is the planner's
 /// calibrated cost model, so the gate and the planner can never disagree about
-/// what a symbol costs.
-pub(crate) const MIN_WORKER_FANOUT_NS: f64 = 2_000_000.0;
+/// what a lane cycle costs.
+pub(crate) const MIN_WORKER_FANOUT_S: f64 = 2e-3;
 
 /// Chunk length of the contiguous worker assignment for `count` items over up
 /// to `workers` workers: worker `w` owns items `[w·span, (w+1)·span)`. This is
 /// the *one* definition of the fan-out shape — the execution path chunks by it
-/// and the empty-batch stats path reports it (via [`contiguous_assignment`]),
-/// so the two can never drift. Allocation-free for the pooled hot path.
+/// and [`crate::scheduler::ScheduleStats`] reports it (via
+/// [`contiguous_assignment`]), so the two can never drift. Allocation-free for
+/// the pooled hot path.
 pub(crate) fn assignment_span(count: usize, workers: usize) -> usize {
     let workers = workers.min(count).max(1);
     count.div_ceil(workers).max(1)
@@ -157,13 +149,23 @@ pub(crate) fn contiguous_assignment(count: usize, workers: usize) -> Vec<usize> 
 
 /// Re-arms `acc` as `queries` fresh top-`k` accumulators, reusing both the
 /// outer vector and every selector's heap allocation.
-pub(crate) fn arm_accumulators(acc: &mut Vec<TopK>, queries: usize, k: usize) {
+fn arm_accumulators(acc: &mut Vec<TopK>, queries: usize, k: usize) {
     acc.truncate(queries);
     for a in acc.iter_mut() {
         a.reset(k);
     }
     while acc.len() < queries {
         acc.push(TopK::new(k));
+    }
+}
+
+/// Drains the armed accumulators into the caller-owned `results` (resized to
+/// the batch, inner allocations reused), sorted and clipped to `options`.
+fn drain_into(accumulators: &mut [TopK], options: &QueryOptions, results: &mut Vec<Vec<Neighbor>>) {
+    results.resize_with(accumulators.len(), Vec::new);
+    for (acc, neighbors) in accumulators.iter_mut().zip(results.iter_mut()) {
+        acc.drain_sorted_into(neighbors);
+        options.clip(neighbors);
     }
 }
 
@@ -249,163 +251,174 @@ impl PreparedBoards {
         self.images.get().is_some_and(|r| r.is_ok())
     }
 
+    /// Validates one batch against this preparation and returns the length of
+    /// its window-per-query symbol stream — what the modeled device streams
+    /// per board image, and the space report offsets are addressed in.
+    ///
+    /// # Errors
+    /// [`SearchError::ZeroK`] / [`SearchError::ZeroDistanceBound`] for invalid
+    /// options, [`SearchError::DimMismatch`] for mis-sized queries, and
+    /// [`SearchError::CapacityExceeded`] for a batch whose stream overflows
+    /// the 32-bit report-offset space.
+    pub(crate) fn validate_batch(
+        &self,
+        queries: &[BinaryVector],
+        options: &QueryOptions,
+    ) -> Result<u64, SearchError> {
+        options.validate()?;
+        let dims = self.design.dims;
+        for q in queries {
+            if q.dims() != dims {
+                return Err(SearchError::DimMismatch {
+                    expected: dims,
+                    actual: q.dims(),
+                });
+            }
+        }
+        // Reports address their window by a 32-bit stream offset; a batch whose
+        // stream is longer than that cannot be decoded unambiguously.
+        let stream_len = self.layout.stream_len(queries.len());
+        if stream_len > u64::from(u32::MAX) {
+            return Err(SearchError::CapacityExceeded {
+                needed: stream_len,
+                limit: u64::from(u32::MAX),
+            });
+        }
+        Ok(stream_len)
+    }
+
     /// Clamps a requested fan-out width to the number of workers that each get
-    /// at least [`MIN_WORKER_FANOUT_NS`] of estimated simulation work.
-    /// `cost_weighted_symbols` is the per-image symbol count, pre-scaled for
-    /// the lane path (lane cycles × [`LANE_CYCLE_COST_FACTOR`]). Only the
-    /// engine batch paths use this; [`crate::scheduler::PreparedSchedule`]
+    /// at least [`MIN_WORKER_FANOUT_S`] of estimated simulation work for
+    /// `lane_cycles_per_image` cycles at `width` occupied lanes on every
+    /// image. Only the engine uses this; [`crate::scheduler::PreparedSchedule`]
     /// models explicit boards and keeps its requested worker count.
-    pub(crate) fn gated_workers(&self, cost_weighted_symbols: u64, workers: usize) -> usize {
+    pub(crate) fn gated_workers(
+        &self,
+        lane_cycles_per_image: u64,
+        width: usize,
+        workers: usize,
+    ) -> usize {
         if workers <= 1 {
             return workers.max(1);
         }
-        let ns_per_symbol =
-            BASE_NS_PER_SYMBOL + NS_PER_ELEMENT_SYMBOL * self.board_elements() as f64;
-        let total_ns = cost_weighted_symbols as f64 * self.partitions.len() as f64 * ns_per_symbol;
-        let useful = (total_ns / MIN_WORKER_FANOUT_NS) as usize;
+        let total_s = AutoPlanner::measured().estimated_simulation_s(
+            self.board_elements(),
+            lane_cycles_per_image * self.partitions.len() as u64,
+            width,
+        );
+        let useful = (total_s / MIN_WORKER_FANOUT_S) as usize;
         workers.min(useful.max(1))
     }
 
-    /// Streams the (shared) encoded query batch through every cached board
-    /// image, fanning the images out over up to `workers` scoped threads —
-    /// each standing in for one board — and merging each worker's per-query
-    /// accumulators into `global` (which must hold `queries_len` armed
-    /// selectors). This is the one partition-execution recipe behind both the
-    /// engine's serial/parallel schedules and
-    /// [`crate::scheduler::PreparedSchedule`], so the two stay bit-identical
-    /// by construction.
-    ///
-    /// Every worker checks its scratch (run state, report sink, accumulators)
-    /// out of the shared [`ScratchPool`] and returns it afterwards, so a
-    /// steady-state batch performs no execution-side allocation. `chunks_out`
-    /// receives the number of images each worker ran, in assignment order.
-    /// Returns the total report count.
-    pub(crate) fn fan_out_into(
-        &self,
-        stream: &[u8],
-        k: usize,
-        queries_len: usize,
-        workers: usize,
-        global: &mut [TopK],
-        chunks_out: &mut Vec<usize>,
-    ) -> Result<u64, SearchError> {
-        let images = self.images()?;
-        let layout = &self.layout;
-        chunks_out.clear();
-        if images.is_empty() {
-            return Ok(0);
-        }
-        let span = assignment_span(images.len(), workers);
-        let workers = workers.min(images.len()).max(1);
-        let pool: &ScratchPool = &self.pool;
-
-        let run_chunk = |owned: &[BoardImage], scratch: &mut BatchScratch| -> u64 {
-            arm_accumulators(&mut scratch.accumulators, queries_len, k);
-            let mut reports_total = 0u64;
-            for image in owned {
-                // One pooled run state serves every image this worker drives
-                // (images differ in geometry; recycling adapts in place).
-                if let Some(state) = scratch.state.as_mut() {
-                    image.compiled.recycle_state(state);
-                } else {
-                    scratch.state = Some(image.compiled.new_state());
-                }
-                let state = scratch.state.as_mut().expect("state just ensured");
-                scratch.reports.clear();
-                image.compiled.run_into(state, stream, &mut scratch.reports);
-                merge_reports_into(
-                    layout,
-                    &scratch.reports,
-                    image.base_index,
-                    &mut scratch.accumulators,
-                );
-                reports_total += scratch.reports.len() as u64;
-            }
-            reports_total
-        };
-
-        if workers <= 1 {
-            let mut scratch = pool.checkout();
-            let reports = run_chunk(images, &mut scratch);
-            for (g, partial) in global.iter_mut().zip(&scratch.accumulators) {
-                g.merge(partial);
-            }
-            chunks_out.push(images.len());
-            pool.give_back(scratch);
-            return Ok(reports);
-        }
-
-        let run_chunk = &run_chunk;
-        let outputs: Vec<(BatchScratch, u64, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = images
-                .chunks(span)
-                .map(|owned| {
-                    scope.spawn(move || {
-                        let mut scratch = pool.checkout();
-                        let reports = run_chunk(owned, &mut scratch);
-                        (scratch, reports, owned.len())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("board-image worker panicked"))
-                .collect()
-        });
-        // The host merge across workers is exactly the merge across sequential
-        // reconfigurations, in assignment order.
-        let mut reports_total = 0u64;
-        for (scratch, reports, images_run) in outputs {
-            for (g, partial) in global.iter_mut().zip(&scratch.accumulators) {
-                g.merge(partial);
-            }
-            chunks_out.push(images_run);
-            pool.give_back(scratch);
-            reports_total += reports;
-        }
-        Ok(reports_total)
+    /// A pooled host scratch with `queries_len` armed top-`k` accumulators.
+    fn checkout_host(&self, queries_len: usize, k: usize) -> BatchScratch {
+        let mut host = self.pool.checkout();
+        arm_accumulators(&mut host.accumulators, queries_len, k);
+        host
     }
 
-    /// The lane-core twin of [`Self::fan_out_into`]: streams the encoded lane
-    /// passes (one per 64-query chunk of the batch, see
-    /// [`crate::lanes::encode_lane_planes_into`]) through every cached board
-    /// image over up to `workers` scoped threads. Pass `p` demultiplexes into
-    /// queries `p·64 ..`, so the merged accumulators are per-query exactly as
-    /// in the scalar fan-out; the returned report count unrolls every event's
-    /// lane mask (one report per set lane), keeping
-    /// [`crate::engine::ApRunStats::reports`] identical to the scalar path.
-    pub(crate) fn fan_out_lanes_into(
+    /// The one cycle-accurate batch path, behind both [`PreparedEngine`] and
+    /// [`crate::scheduler::PreparedSchedule`] (so the two stay bit-identical
+    /// by construction): encodes the validated batch as lane passes, streams
+    /// them through every cached board image over up to `workers` scoped
+    /// threads, and drains the merged per-query top-k into `results`. Returns
+    /// the report count. A steady-state batch performs no allocation: host and
+    /// worker scratch come from (and return to) the shared [`ScratchPool`].
+    pub(crate) fn search_lanes_into(
         &self,
-        streams: &[LaneStream],
-        k: usize,
-        queries_len: usize,
+        queries: &[BinaryVector],
+        options: &QueryOptions,
         workers: usize,
-        global: &mut [TopK],
-        chunks_out: &mut Vec<usize>,
+        results: &mut Vec<Vec<Neighbor>>,
+    ) -> Result<u64, SearchError> {
+        let mut host = self.checkout_host(queries.len(), options.k);
+        // An empty batch streams nothing and an empty dataset has no boards:
+        // skip execution entirely (and never compile images for it).
+        let reports = if queries.is_empty() || self.partitions.is_empty() {
+            Ok(0)
+        } else {
+            self.fan_out_lanes(queries, options.k, workers, &mut host)
+        };
+        if reports.is_ok() {
+            drain_into(&mut host.accumulators, options, results);
+        }
+        self.pool.give_back(host);
+        reports
+    }
+
+    /// The behavioural equivalent of [`Self::search_lanes_into`]: every
+    /// encoded vector reports once per query, at the offset encoding its
+    /// Hamming distance — one batched word-level distance kernel per
+    /// (partition, query) pair, no network built.
+    pub(crate) fn search_behavioral_into(
+        &self,
+        queries: &[BinaryVector],
+        options: &QueryOptions,
+        results: &mut Vec<Vec<Neighbor>>,
+    ) -> u64 {
+        let mut host = self.checkout_host(queries.len(), options.k);
+        let mut reports = 0u64;
+        for partition in &self.partitions {
+            for (q, acc) in queries.iter().zip(host.accumulators.iter_mut()) {
+                partition.data.hamming_batch_into(q, &mut host.distances);
+                reports += host.distances.len() as u64;
+                for (local, &dist) in host.distances.iter().enumerate() {
+                    acc.offer(Neighbor::new(partition.global_index(local), dist));
+                }
+            }
+        }
+        drain_into(&mut host.accumulators, options, results);
+        self.pool.give_back(host);
+        reports
+    }
+
+    /// Encodes `queries` as lane passes (one per 64-query chunk, bit-planes of
+    /// one window — see [`crate::lanes::encode_lane_planes_into`]) into the
+    /// host's pooled streams, then runs every pass through every board image,
+    /// the images fanned out contiguously over up to `workers` scoped threads
+    /// — each standing in for one board. Pass `p` demultiplexes into queries
+    /// `p·64 ..`; each worker's per-query accumulators merge into the host's
+    /// in assignment order, exactly the merge across sequential
+    /// reconfigurations, so results and statistics are identical at any
+    /// worker count. The returned report count unrolls every event's lane
+    /// mask (one report per set lane), the count a window-per-query stream
+    /// would have produced.
+    fn fan_out_lanes(
+        &self,
+        queries: &[BinaryVector],
+        k: usize,
+        workers: usize,
+        host: &mut BatchScratch,
     ) -> Result<u64, SearchError> {
         let images = self.images()?;
         let layout = &self.layout;
-        chunks_out.clear();
-        if images.is_empty() {
-            return Ok(0);
-        }
-        let span = assignment_span(images.len(), workers);
-        let workers = workers.min(images.len()).max(1);
         let pool: &ScratchPool = &self.pool;
+        let passes = queries.len().div_ceil(MAX_LANES);
+        // Only a batch wider than any before allocates a new pass buffer.
+        while host.lane_streams.len() < passes {
+            host.lane_streams.push(LaneStream::new());
+        }
+        for (chunk, stream) in queries.chunks(MAX_LANES).zip(host.lane_streams.iter_mut()) {
+            encode_lane_planes_into(layout, chunk, stream);
+        }
+        let streams = &host.lane_streams[..passes];
 
-        let run_chunk = |owned: &[BoardImage], scratch: &mut BatchScratch| -> u64 {
-            arm_accumulators(&mut scratch.accumulators, queries_len, k);
+        let run_chunk = |owned: &[BoardImage]| -> (BatchScratch, u64) {
+            let mut scratch = pool.checkout();
+            arm_accumulators(&mut scratch.accumulators, queries.len(), k);
             let mut reports_total = 0u64;
             for image in owned {
                 for (pass, stream) in streams.iter().enumerate() {
-                    // Recycling adapts the pooled state to this image's
-                    // geometry *and* clears it between passes.
-                    if let Some(state) = scratch.lane_state.as_mut() {
-                        image.compiled.recycle_lane_state(state);
-                    } else {
-                        scratch.lane_state = Some(image.compiled.new_lane_state());
-                    }
-                    let state = scratch.lane_state.as_mut().expect("state just ensured");
+                    // One pooled run state serves every image this worker
+                    // drives: recycling adapts it to this image's geometry
+                    // *and* clears it between passes.
+                    let state = match scratch.lane_state.as_mut() {
+                        Some(state) => {
+                            image.compiled.recycle_lane_state(state);
+                            state
+                        }
+                        None => scratch.lane_state.insert(image.compiled.new_lane_state()),
+                    };
                     scratch.lane_reports.clear();
                     image
                         .compiled
@@ -424,47 +437,34 @@ impl PreparedBoards {
                         .sum::<u64>();
                 }
             }
-            reports_total
+            (scratch, reports_total)
         };
-
-        if workers <= 1 {
-            let mut scratch = pool.checkout();
-            let reports = run_chunk(images, &mut scratch);
+        let global = &mut host.accumulators;
+        let mut merge = |(scratch, reports): (BatchScratch, u64)| -> u64 {
             for (g, partial) in global.iter_mut().zip(&scratch.accumulators) {
                 g.merge(partial);
             }
-            chunks_out.push(images.len());
             pool.give_back(scratch);
-            return Ok(reports);
-        }
+            reports
+        };
 
+        let span = assignment_span(images.len(), workers);
+        if span >= images.len() {
+            // One worker owns every image: run in place, spawn nothing.
+            return Ok(merge(run_chunk(images)));
+        }
         let run_chunk = &run_chunk;
-        let outputs: Vec<(BatchScratch, u64, usize)> = std::thread::scope(|scope| {
+        let outputs: Vec<(BatchScratch, u64)> = std::thread::scope(|scope| {
             let handles: Vec<_> = images
                 .chunks(span)
-                .map(|owned| {
-                    scope.spawn(move || {
-                        let mut scratch = pool.checkout();
-                        let reports = run_chunk(owned, &mut scratch);
-                        (scratch, reports, owned.len())
-                    })
-                })
+                .map(|owned| scope.spawn(move || run_chunk(owned)))
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("board-image worker panicked"))
                 .collect()
         });
-        let mut reports_total = 0u64;
-        for (scratch, reports, images_run) in outputs {
-            for (g, partial) in global.iter_mut().zip(&scratch.accumulators) {
-                g.merge(partial);
-            }
-            chunks_out.push(images_run);
-            pool.give_back(scratch);
-            reports_total += reports;
-        }
-        Ok(reports_total)
+        Ok(outputs.into_iter().map(merge).sum())
     }
 
     /// The compiled board images, building every [`PartitionNetwork`] and
@@ -599,165 +599,59 @@ impl PreparedEngine {
         options: &QueryOptions,
         results: &mut Vec<Vec<Neighbor>>,
     ) -> Result<ApRunStats, SearchError> {
-        options.validate()?;
-        let dims = self.boards.design().dims;
-        for q in queries {
-            if q.dims() != dims {
-                return Err(SearchError::DimMismatch {
-                    expected: dims,
-                    actual: q.dims(),
-                });
-            }
-        }
-
         let layout = self.boards.layout();
-        // Reports address their window by a 32-bit stream offset; a batch whose
-        // stream is longer than that cannot be decoded unambiguously.
-        let stream_len = layout.stream_len(queries.len());
-        if stream_len > u64::from(u32::MAX) {
-            return Err(SearchError::CapacityExceeded {
-                needed: stream_len,
-                limit: u64::from(u32::MAX),
-            });
-        }
-
-        let partitions = self.boards.partitions();
-        let configs = partitions.len().max(1);
-        // A batch wide enough to amortize lane setup runs on the lane core:
-        // each 64-query chunk becomes one window-length pass instead of 64
-        // concatenated windows.
-        let use_lanes = queries.len() >= self.engine.lane_threshold();
+        self.boards.validate_batch(queries, options)?;
+        let partitions = self.boards.partitions().len();
+        let configs = partitions.max(1);
+        // Each 64-query chunk of the batch is one window-length lane pass.
         let lane_passes = queries.len().div_ceil(MAX_LANES);
         let lane_cycles_per_image = layout.window_len() as u64 * lane_passes as u64;
+        let width = queries.len().min(MAX_LANES);
         let mode = match options.execution {
             ExecutionPreference::Auto => {
-                // The planner sees the critical-path symbol count: board
+                // The planner sees the critical-path cycle count: board
                 // images fan out over the engine's workers, so wall-clock is
                 // set by the most loaded worker, not the serial sum.
                 let workers = self.engine.parallelism().min(configs).max(1);
                 let critical_configs = configs.div_ceil(workers) as u64;
-                self.engine.planner().pick_with_lanes(
+                self.engine.planner().pick(
                     self.boards.board_elements(),
-                    stream_len * critical_configs,
-                    use_lanes.then_some(lane_cycles_per_image * critical_configs),
+                    lane_cycles_per_image * critical_configs,
+                    width,
                 )
             }
             ExecutionPreference::CycleAccurate => ExecutionMode::CycleAccurate,
             ExecutionPreference::Behavioral => ExecutionMode::Behavioral,
         };
 
-        let k = options.k;
-        // The host-side scratch: global accumulators, encoded stream, and the
-        // behavioural distance buffer all come from (and return to) the pool.
-        let mut host = self.boards.pool().checkout();
-        arm_accumulators(&mut host.accumulators, queries.len(), k);
-        let mut reports_total = 0u64;
-        let mut lane_ran = false;
-        // An empty batch streams nothing and an empty dataset has no boards:
-        // skip execution entirely (and never compile images for it).
-        if !queries.is_empty() && !partitions.is_empty() {
-            match mode {
-                ExecutionMode::CycleAccurate if use_lanes => {
-                    // Lane path: encode each 64-query chunk as bit-planes of
-                    // one window (into pooled streams — only a batch wider
-                    // than any before allocates a new pass buffer), then fan
-                    // the board images out exactly as the scalar path does.
-                    while host.lane_streams.len() < lane_passes {
-                        host.lane_streams.push(LaneStream::new());
-                    }
-                    for (chunk, stream) in
-                        queries.chunks(MAX_LANES).zip(host.lane_streams.iter_mut())
-                    {
-                        encode_lane_planes_into(layout, chunk, stream);
-                    }
-                    let workers = self.boards.gated_workers(
-                        (lane_cycles_per_image as f64 * LANE_CYCLE_COST_FACTOR) as u64,
-                        self.engine.parallelism(),
-                    );
-                    match self.boards.fan_out_lanes_into(
-                        &host.lane_streams[..lane_passes],
-                        k,
-                        queries.len(),
-                        workers,
-                        &mut host.accumulators,
-                        &mut host.chunks,
-                    ) {
-                        Ok(reports) => {
-                            reports_total = reports;
-                            lane_ran = true;
-                        }
-                        Err(e) => {
-                            self.boards.pool().give_back(host);
-                            return Err(e);
-                        }
-                    }
-                }
-                ExecutionMode::CycleAccurate => {
-                    // The symbol stream is identical for every board image;
-                    // encode it once (into the pooled buffer), then fan the
-                    // independent images out over the engine's workers. The
-                    // host merge across workers is exactly the merge across
-                    // sequential reconfigurations, so results and statistics
-                    // are identical at any worker count.
-                    layout.encode_batch_into(queries, &mut host.stream);
-                    let workers = self
-                        .boards
-                        .gated_workers(stream_len, self.engine.parallelism());
-                    match self.boards.fan_out_into(
-                        &host.stream,
-                        k,
-                        queries.len(),
-                        workers,
-                        &mut host.accumulators,
-                        &mut host.chunks,
-                    ) {
-                        Ok(reports) => reports_total = reports,
-                        Err(e) => {
-                            self.boards.pool().give_back(host);
-                            return Err(e);
-                        }
-                    }
-                }
-                ExecutionMode::Behavioral => {
-                    // Behavioural equivalent: every encoded vector reports once
-                    // per query, at the offset encoding its Hamming distance.
-                    // One batched word-level distance kernel per
-                    // (partition, query) pair.
-                    for partition in partitions {
-                        for (qi, q) in queries.iter().enumerate() {
-                            partition.data.hamming_batch_into(q, &mut host.distances);
-                            reports_total += host.distances.len() as u64;
-                            let acc = &mut host.accumulators[qi];
-                            for (local, &dist) in host.distances.iter().enumerate() {
-                                acc.offer(Neighbor::new(partition.global_index(local), dist));
-                            }
-                        }
-                    }
-                }
+        let reports = match mode {
+            ExecutionMode::CycleAccurate => {
+                let workers = self.boards.gated_workers(
+                    lane_cycles_per_image,
+                    width,
+                    self.engine.parallelism(),
+                );
+                self.boards
+                    .search_lanes_into(queries, options, workers, results)?
             }
-        }
+            ExecutionMode::Behavioral => self
+                .boards
+                .search_behavioral_into(queries, options, results),
+        };
 
         let mut stats = self.engine.accounting(
             self.boards.dataset_len(),
             queries.len(),
             configs,
-            reports_total,
+            reports,
             layout,
         );
-        if lane_ran {
+        // The lane gauges describe simulated passes: an empty batch or an
+        // empty dataset runs none.
+        if mode == ExecutionMode::CycleAccurate && lane_passes > 0 && partitions > 0 {
             stats.lane_width = MAX_LANES;
             stats.lane_fill = queries.len() as f64 / (lane_passes * MAX_LANES) as f64;
         }
-        // Decode into the caller-owned results, reusing inner allocations.
-        results.truncate(queries.len());
-        while results.len() < queries.len() {
-            results.push(Vec::new());
-        }
-        for (acc, neighbors) in host.accumulators.iter_mut().zip(results.iter_mut()) {
-            acc.drain_sorted_into(neighbors);
-            options.clip(neighbors);
-        }
-        self.boards.pool().give_back(host);
         Ok(stats)
     }
 
@@ -802,21 +696,21 @@ mod tests {
 
         // Tiny batches do not amortize a thread spawn: the gate collapses the
         // requested fan-out to a single in-place worker.
-        assert_eq!(boards.gated_workers(0, 8), 1);
-        assert_eq!(boards.gated_workers(10, 8), 1);
+        assert_eq!(boards.gated_workers(0, 1, 8), 1);
+        assert_eq!(boards.gated_workers(10, 1, 8), 1);
 
         // Huge batches pass the requested width straight through.
-        assert_eq!(boards.gated_workers(1_000_000, 8), 8);
+        assert_eq!(boards.gated_workers(1_000_000, 1, 8), 8);
 
         // In between, the width grows with the work estimate but never
         // exceeds the request.
-        let mid = boards.gated_workers(2_000, 8);
+        let mid = boards.gated_workers(2_000, 1, 8);
         assert!((1..=8).contains(&mid));
-        assert!(boards.gated_workers(4_000, 8) >= mid);
+        assert!(boards.gated_workers(4_000, 1, 8) >= mid);
 
         // A serial request is always honored as-is (and zero is clamped up).
-        assert_eq!(boards.gated_workers(1_000_000, 1), 1);
-        assert_eq!(boards.gated_workers(1_000_000, 0), 1);
+        assert_eq!(boards.gated_workers(1_000_000, 1, 1), 1);
+        assert_eq!(boards.gated_workers(1_000_000, 1, 0), 1);
     }
 
     #[test]

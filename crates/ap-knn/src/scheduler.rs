@@ -22,7 +22,7 @@
 
 use crate::capacity::BoardCapacity;
 use crate::design::KnnDesign;
-use crate::prepared::{arm_accumulators, contiguous_assignment, PoolStats, PreparedBoards};
+use crate::prepared::{contiguous_assignment, PoolStats, PreparedBoards};
 use ap_sim::TimingModel;
 use binvec::{BinaryDataset, BinaryVector, Neighbor, QueryOptions, SearchError};
 use serde::{Deserialize, Serialize};
@@ -209,92 +209,30 @@ impl PreparedSchedule {
         queries: &[BinaryVector],
         options: &QueryOptions,
     ) -> Result<(Vec<Vec<Neighbor>>, ScheduleStats), SearchError> {
-        options.validate()?;
-        let dims = self.boards.design().dims;
-        for q in queries {
-            if q.dims() != dims {
-                return Err(SearchError::DimMismatch {
-                    expected: dims,
-                    actual: q.dims(),
-                });
-            }
-        }
-        let k = options.k;
-        let layout = self.boards.layout();
-        // Reports address their window by a 32-bit stream offset; a batch whose
-        // stream is longer than that cannot be decoded unambiguously.
-        let stream_len = layout.stream_len(queries.len());
-        if stream_len > u64::from(u32::MAX) {
-            return Err(SearchError::CapacityExceeded {
-                needed: stream_len,
-                limit: u64::from(u32::MAX),
-            });
-        }
-        // An empty batch streams nothing: answer without compiling any board
-        // image, with the same schedule shape a zero-symbol run would report
-        // (the shared `contiguous_assignment` is what the fan-out executes).
-        if queries.is_empty() {
-            let partitions = self.boards.partitions().len();
-            let partitions_per_worker = contiguous_assignment(partitions, self.scheduler.workers);
-            let chunks = partitions_per_worker.len();
-            return Ok((
-                Vec::new(),
-                ScheduleStats {
-                    partitions,
-                    workers_used: chunks.max(1),
-                    partitions_per_worker,
-                    reports: 0,
-                    symbols_per_worker: vec![0; chunks],
-                },
-            ));
-        }
-        // The shared pooled partition-execution recipe: encode into pooled
-        // scratch, one scoped worker per contiguous image chunk (each standing
-        // in for one board), per-worker scratch from the same pool, and a
-        // host-side merge identical to the merge across sequential
-        // reconfigurations.
-        let mut host = self.boards.pool().checkout();
-        layout.encode_batch_into(queries, &mut host.stream);
-        arm_accumulators(&mut host.accumulators, queries.len(), k);
-        let reports = match self.boards.fan_out_into(
-            &host.stream,
-            k,
-            queries.len(),
+        let stream_len = self.boards.validate_batch(queries, options)?;
+        let mut results = Vec::new();
+        let reports = self.boards.search_lanes_into(
+            queries,
+            options,
             self.scheduler.workers,
-            &mut host.accumulators,
-            &mut host.chunks,
-        ) {
-            Ok(reports) => reports,
-            Err(e) => {
-                self.boards.pool().give_back(host);
-                return Err(e);
-            }
-        };
-
-        let workers_used = host.chunks.len().max(1);
-        let partitions_per_worker = host.chunks.clone();
-        // Each worker streams the full query batch once per image it owns.
-        let symbols_per_worker: Vec<u64> = host
-            .chunks
-            .iter()
-            .map(|&images| images as u64 * host.stream.len() as u64)
-            .collect();
-
+            &mut results,
+        )?;
+        // The schedule's shape is a pure function of the contiguous assignment
+        // the fan-out executes: on the modeled device each worker (board)
+        // streams the whole batch, one window per query, once per image it
+        // owns. An empty batch reports the same shape with zero symbols.
+        let partitions = self.boards.partitions().len();
+        let partitions_per_worker = contiguous_assignment(partitions, self.scheduler.workers);
         let stats = ScheduleStats {
-            partitions: self.boards.partitions().len(),
-            workers_used,
+            partitions,
+            workers_used: partitions_per_worker.len().max(1),
+            symbols_per_worker: partitions_per_worker
+                .iter()
+                .map(|&images| images as u64 * stream_len)
+                .collect(),
             partitions_per_worker,
             reports,
-            symbols_per_worker,
         };
-        let mut results: Vec<Vec<Neighbor>> = Vec::with_capacity(queries.len());
-        for acc in host.accumulators.iter_mut().take(queries.len()) {
-            let mut neighbors = Vec::new();
-            acc.drain_sorted_into(&mut neighbors);
-            options.clip(&mut neighbors);
-            results.push(neighbors);
-        }
-        self.boards.pool().give_back(host);
         Ok((results, stats))
     }
 

@@ -116,16 +116,16 @@ pub struct StatsFrame {
     pub wal_replayed: u64,
     /// Bytes truncated off a torn log tail at the most recent restore.
     pub wal_truncated_bytes: u64,
-    /// Lane width of the execution core (64 once any batch ran on the lane
-    /// core, 0 before).
+    /// Lane width of the cycle-accurate execution core (64 once any batch ran
+    /// cycle-accurately, 0 before).
     pub lane_width: u64,
-    /// Batches executed on the lane core.
+    /// Cycle-accurate batches (every one runs on the lane core).
     pub lane_batches: u64,
     /// Wall-clock uptime in milliseconds.
     pub uptime_ms: f64,
     /// Mean records per fsync (0.0 before the first fsync).
     pub wal_group_mean: f64,
-    /// Mean lane occupancy of lane-core batches (0.0 before the first).
+    /// Mean lane occupancy of cycle-accurate batches (0.0 before the first).
     pub lane_fill: f64,
     /// Submit→dispatch queue-wait percentiles `(p50, p95, p99)` in
     /// milliseconds, absent before the first dispatched query.

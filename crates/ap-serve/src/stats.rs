@@ -185,10 +185,10 @@ pub struct ServiceStats {
     /// `try_submit_mutation` to the epoch swap that made the mutation
     /// observable by queries (the ack is delivered after this is recorded).
     pub mutation_staleness: LatencyHistogram,
-    /// Lane width of the execution core's SIMD-across-queries path (64 when
-    /// any dispatched batch ran on the lane core, 0 if none has yet).
+    /// Lane width of the cycle-accurate execution core (64 once any
+    /// dispatched batch ran cycle-accurately, 0 if none has yet).
     pub lane_width: usize,
-    /// Batches that executed on the lane core.
+    /// Cycle-accurate batches (every one runs on the lane core).
     pub lane_batches: u64,
     /// Sum of per-batch lane fill (queries / lane slots) over
     /// [`Self::lane_batches`]; read through [`Self::lane_fill`].
@@ -271,8 +271,8 @@ impl ServiceStats {
             .collect()
     }
 
-    /// Mean lane occupancy of lane-core batches (1.0 = every pass carried 64
-    /// queries). `None` before the first lane-core batch.
+    /// Mean lane occupancy of cycle-accurate batches (1.0 = every pass carried
+    /// 64 queries). `None` before the first cycle-accurate batch.
     pub fn lane_fill(&self) -> Option<f64> {
         (self.lane_batches > 0).then(|| self.lane_fill_sum / self.lane_batches as f64)
     }

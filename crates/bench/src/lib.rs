@@ -4,7 +4,7 @@
 //! evaluation section and prints (a) the values produced by this reproduction and
 //! (b) the values published in the paper, so the two can be compared row by row.
 //! The binaries also emit machine-readable JSON records (one per row) on request via
-//! the `--json` flag, which EXPERIMENTS.md links to.
+//! the `--json` flag; README.md lists the binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,34 +18,38 @@ fn capacity(vectors_per_board: usize) -> BoardCapacity {
 fn scheduler_is_equivalent_to_engine_for_every_worker_count() {
     let dims = 24;
     let data = binvec::generate::uniform_dataset(90, dims, 51);
-    let queries = binvec::generate::uniform_queries(7, dims, 52);
+    let all_queries = binvec::generate::uniform_queries(7, dims, 52);
     let design = KnnDesign::new(dims);
-    let (expected, engine_stats) = ApKnnEngine::new(design)
-        .with_capacity(capacity(12))
-        .try_search_batch(&data, &queries, &QueryOptions::top(5))
-        .unwrap();
-
-    for workers in 1..=6usize {
-        let scheduler = ParallelApScheduler::new(design)
+    // A single query and a partly filled lane pass.
+    for width in [1usize, 7] {
+        let queries = &all_queries[..width];
+        let (expected, engine_stats) = ApKnnEngine::new(design)
             .with_capacity(capacity(12))
-            .with_workers(workers);
-        let (got, stats) = scheduler.search_batch(&data, &queries, 5);
-        assert_eq!(got, expected, "workers = {workers}");
-        assert_eq!(stats.partitions, engine_stats.board_configurations);
-        assert_eq!(stats.reports, engine_stats.reports);
-        assert_eq!(
-            stats.total_symbols(),
-            engine_stats.symbols_streamed,
-            "total streaming work is conserved"
-        );
-        assert_eq!(
-            stats.partitions_per_worker.iter().sum::<usize>(),
-            stats.partitions
-        );
-        assert!(stats.workers_used <= workers);
-        // Load balance: no worker owns more than ceil(partitions / workers_used) + 0.
-        let max_owned = *stats.partitions_per_worker.iter().max().unwrap();
-        assert!(max_owned <= stats.partitions.div_ceil(stats.workers_used));
+            .try_search_batch(&data, queries, &QueryOptions::top(5))
+            .unwrap();
+
+        for workers in 1..=6usize {
+            let scheduler = ParallelApScheduler::new(design)
+                .with_capacity(capacity(12))
+                .with_workers(workers);
+            let (got, stats) = scheduler.search_batch(&data, queries, 5);
+            assert_eq!(got, expected, "workers = {workers}");
+            assert_eq!(stats.partitions, engine_stats.board_configurations);
+            assert_eq!(stats.reports, engine_stats.reports);
+            assert_eq!(
+                stats.total_symbols(),
+                engine_stats.symbols_streamed,
+                "total streaming work is conserved"
+            );
+            assert_eq!(
+                stats.partitions_per_worker.iter().sum::<usize>(),
+                stats.partitions
+            );
+            assert!(stats.workers_used <= workers);
+            // Load balance: no worker owns more than ceil(partitions / workers_used) + 0.
+            let max_owned = *stats.partitions_per_worker.iter().max().unwrap();
+            assert!(max_owned <= stats.partitions.div_ceil(stats.workers_used));
+        }
     }
 }
 

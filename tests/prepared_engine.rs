@@ -74,60 +74,85 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let data = binvec::generate::uniform_dataset(n, dims, seed);
-        let queries = binvec::generate::uniform_queries(2, dims, seed.wrapping_add(9));
+        let all_queries = binvec::generate::uniform_queries(2, dims, seed.wrapping_add(9));
         let prepared = ApKnnEngine::new(KnnDesign::new(dims))
             .with_capacity(capacity(vectors_per_board))
             .prepare(&data)
             .unwrap();
-        let cycle = prepared
-            .try_search_batch(
-                &queries,
-                &QueryOptions::top(3).execution(ExecutionPreference::CycleAccurate),
-            )
-            .unwrap();
-        let behavioral = prepared
-            .try_search_batch(
-                &queries,
-                &QueryOptions::top(3).execution(ExecutionPreference::Behavioral),
-            )
-            .unwrap();
-        prop_assert_eq!(&cycle.0, &behavioral.0);
-        // A 2-query batch clears the default lane threshold, so the forced
-        // cycle-accurate run reports lane gauges; everything else matches
-        // the behavioural accounting bit-for-bit.
-        prop_assert_eq!(cycle.1.lane_width, ap_sim::MAX_LANES);
-        prop_assert_eq!(cycle.1.lane_fill, 2.0 / ap_sim::MAX_LANES as f64);
-        let normalized = ap_knn::ApRunStats { lane_width: 0, lane_fill: 0.0, ..cycle.1 };
-        prop_assert_eq!(normalized, behavioral.1);
+        for width in [1usize, 2] {
+            let queries = &all_queries[..width];
+            let cycle = prepared
+                .try_search_batch(
+                    queries,
+                    &QueryOptions::top(3).execution(ExecutionPreference::CycleAccurate),
+                )
+                .unwrap();
+            let behavioral = prepared
+                .try_search_batch(
+                    queries,
+                    &QueryOptions::top(3).execution(ExecutionPreference::Behavioral),
+                )
+                .unwrap();
+            prop_assert_eq!(&cycle.0, &behavioral.0);
+            // Every cycle-accurate batch, a single query included, runs on the
+            // lane core and reports lane gauges; everything else matches the
+            // behavioural accounting bit-for-bit.
+            prop_assert_eq!(cycle.1.lane_width, ap_sim::MAX_LANES);
+            prop_assert_eq!(cycle.1.lane_fill, width as f64 / ap_sim::MAX_LANES as f64);
+            let normalized = ap_knn::ApRunStats { lane_width: 0, lane_fill: 0.0, ..cycle.1 };
+            prop_assert_eq!(normalized, behavioral.1);
+        }
     }
 }
 
-/// A batch wider than one 64-lane pass splits into several passes that still
-/// agree bit-for-bit with the scalar window-per-query path — including lanes
-/// past the first pass (query 65+ demultiplexes through `lane_base`).
+/// A single query, a partly filled pass, and a batch wider than one 64-lane
+/// pass — which splits into several passes, query 65+ demultiplexing through
+/// `lane_base` — all agree bit-for-bit with two implementations that share no
+/// code with the lane core: the behavioural arm and the exact linear scan.
 #[test]
-fn multi_pass_lane_batches_match_the_scalar_path() {
+fn multi_pass_lane_batches_match_independent_references() {
     let dims = 10;
     let data = binvec::generate::uniform_dataset(40, dims, 90);
-    let queries = binvec::generate::uniform_queries(70, dims, 91);
+    let all_queries = binvec::generate::uniform_queries(70, dims, 91);
     let options = QueryOptions::top(5);
     let design = KnnDesign::new(dims);
     let laned = ApKnnEngine::new(design)
         .with_capacity(capacity(12))
         .prepare(&data)
         .unwrap();
-    let scalar = ApKnnEngine::new(design)
+    let behavioral = ApKnnEngine::new(design)
         .with_capacity(capacity(12))
-        .with_lane_threshold(usize::MAX)
+        .with_mode(ExecutionMode::Behavioral)
         .prepare(&data)
         .unwrap();
-    let (lane_results, lane_stats) = laned.try_search_batch(&queries, &options).unwrap();
-    let (scalar_results, scalar_stats) = scalar.try_search_batch(&queries, &options).unwrap();
-    assert_eq!(lane_results, scalar_results);
-    assert_eq!(lane_stats.lane_width, ap_sim::MAX_LANES);
-    assert_eq!(lane_stats.lane_fill, 70.0 / 128.0);
-    assert_eq!(scalar_stats.lane_width, 0);
-    assert_eq!(lane_stats.reports, scalar_stats.reports);
+    let exact = LinearScan::new(data.clone());
+    for width in [1usize, 5, 70] {
+        let queries = &all_queries[..width];
+        let (lane_results, lane_stats) = laned.try_search_batch(queries, &options).unwrap();
+        let (behavioral_results, behavioral_stats) =
+            behavioral.try_search_batch(queries, &options).unwrap();
+        assert_eq!(lane_results, behavioral_results, "width {width}");
+        assert_eq!(
+            lane_results,
+            exact.search_batch(queries, 5),
+            "width {width}"
+        );
+        let passes = width.div_ceil(ap_sim::MAX_LANES);
+        assert_eq!(lane_stats.lane_width, ap_sim::MAX_LANES);
+        assert_eq!(
+            lane_stats.lane_fill,
+            width as f64 / (passes * ap_sim::MAX_LANES) as f64,
+            "width {width}"
+        );
+        assert_eq!(behavioral_stats.lane_width, 0);
+        assert_eq!(lane_stats.reports, behavioral_stats.reports);
+        let normalized = ap_knn::ApRunStats {
+            lane_width: 0,
+            lane_fill: 0.0,
+            ..lane_stats
+        };
+        assert_eq!(normalized, behavioral_stats, "width {width}");
+    }
 }
 
 #[test]

@@ -58,37 +58,42 @@ fn warmed_steady_state_batches_allocate_nothing() {
     let prepared = engine.prepare(&data).unwrap();
     let options = QueryOptions::top(k);
 
-    // Query batches are prebuilt so the measured window contains nothing but
-    // the engine's own encode → simulate → decode.
-    let batches: Vec<Vec<binvec::BinaryVector>> = (0..8u64)
-        .map(|round| uniform_queries(batch, dims, 102 + round))
-        .collect();
+    // A single query — the batch a closed-loop client dispatches — and a
+    // partly filled lane pass. Each width warms its own shapes first: the
+    // claim is about a steady stream of same-shaped batches.
+    for width in [1, batch] {
+        // Query batches are prebuilt so the measured window contains nothing but
+        // the engine's own encode → simulate → decode.
+        let batches: Vec<Vec<binvec::BinaryVector>> = (0..8u64)
+            .map(|round| uniform_queries(width, dims, 102 + round))
+            .collect();
 
-    // Warm-up: compiles the board images, fills the scratch pool, and grows
-    // every pooled buffer (stream, report sink, accumulators, result vectors)
-    // to its steady-state capacity.
-    let mut results = Vec::new();
-    for queries in &batches[..3] {
-        prepared
-            .try_search_batch_into(queries, &options, &mut results)
-            .unwrap();
-    }
+        // Warm-up: compiles the board images, fills the scratch pool, and grows
+        // every pooled buffer (stream, report sink, accumulators, result vectors)
+        // to its steady-state capacity.
+        let mut results = Vec::new();
+        for queries in &batches[..3] {
+            prepared
+                .try_search_batch_into(queries, &options, &mut results)
+                .unwrap();
+        }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for queries in &batches[3..] {
-        prepared
-            .try_search_batch_into(queries, &options, &mut results)
-            .unwrap();
-    }
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        allocations, 0,
-        "a warmed steady-state batch must not touch the allocator"
-    );
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for queries in &batches[3..] {
+            prepared
+                .try_search_batch_into(queries, &options, &mut results)
+                .unwrap();
+        }
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            allocations, 0,
+            "a warmed steady-state batch must not touch the allocator (width {width})"
+        );
 
-    // And the allocation-free answers are still the right ones.
-    for (query, neighbors) in batches.last().unwrap().iter().zip(&results) {
-        assert_eq!(neighbors, &direct.search(query, k));
+        // And the allocation-free answers are still the right ones.
+        for (query, neighbors) in batches.last().unwrap().iter().zip(&results) {
+            assert_eq!(neighbors, &direct.search(query, k));
+        }
     }
     let pool = prepared.pool_stats();
     assert_eq!(pool.fresh, 2, "one host + one worker scratch, ever");
