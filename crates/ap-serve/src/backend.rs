@@ -239,18 +239,6 @@ impl ApEngineBackend {
         })
     }
 
-    /// Binds `engine` to `data`.
-    ///
-    /// # Panics
-    /// Panics if the dataset dimensionality differs from the engine design's.
-    /// Use [`Self::try_new`] to handle the mismatch as a typed error.
-    pub fn new(engine: ApKnnEngine, data: BinaryDataset) -> Self {
-        match Self::try_new(engine, data) {
-            Ok(backend) => backend,
-            Err(e) => panic!("dataset dims must match the engine design: {e}"),
-        }
-    }
-
     /// The engine configuration behind the preparation.
     pub fn engine(&self) -> &ApKnnEngine {
         self.prepared.engine()
@@ -330,18 +318,6 @@ impl ApSchedulerBackend {
         Ok(Self {
             prepared: scheduler.prepare(&data)?,
         })
-    }
-
-    /// Binds `scheduler` to `data`.
-    ///
-    /// # Panics
-    /// Panics if the dataset dimensionality differs from the scheduler design's.
-    /// Use [`Self::try_new`] to handle the mismatch as a typed error.
-    pub fn new(scheduler: ParallelApScheduler, data: BinaryDataset) -> Self {
-        match Self::try_new(scheduler, data) {
-            Ok(backend) => backend,
-            Err(e) => panic!("dataset dims must match the scheduler design: {e}"),
-        }
     }
 
     /// The wrapped scheduler configuration.
@@ -437,18 +413,6 @@ impl JaccardBackend {
             });
         }
         Ok(Self { searcher, data })
-    }
-
-    /// Binds `searcher` to `data`.
-    ///
-    /// # Panics
-    /// Panics if the dataset dimensionality differs from the searcher design's.
-    /// Use [`Self::try_new`] to handle the mismatch as a typed error.
-    pub fn new(searcher: JaccardSearcher, data: BinaryDataset) -> Self {
-        match Self::try_new(searcher, data) {
-            Ok(backend) => backend,
-            Err(e) => panic!("dataset dims must match the searcher design: {e}"),
-        }
     }
 }
 
@@ -571,7 +535,7 @@ mod tests {
     fn ap_engine_backend_matches_linear_scan_and_charges_cycles() {
         let (data, queries) = fixtures(60, 16);
         let engine = ApKnnEngine::new(KnnDesign::new(16)).with_mode(ExecutionMode::Behavioral);
-        let backend = ApEngineBackend::new(engine, data.clone());
+        let backend = ApEngineBackend::try_new(engine, data.clone()).unwrap();
         let batch = backend.serve_batch(&queries, 3);
         let expected = LinearScan::new(data).search_batch(&queries, 3);
         assert_eq!(batch.results, expected);
@@ -587,7 +551,7 @@ mod tests {
                 model: ap_knn::capacity::CapacityModel::PaperCalibrated,
             })
             .with_workers(3);
-        let backend = ApSchedulerBackend::new(scheduler, data.clone());
+        let backend = ApSchedulerBackend::try_new(scheduler, data.clone()).unwrap();
         let batch = backend.serve_batch(&queries, 3);
         let expected = LinearScan::new(data).search_batch(&queries, 3);
         assert_eq!(batch.results, expected);
@@ -598,7 +562,8 @@ mod tests {
     #[test]
     fn jaccard_backend_orders_by_decreasing_intersection() {
         let (data, queries) = fixtures(30, 12);
-        let backend = JaccardBackend::new(JaccardSearcher::new(KnnDesign::new(12)), data);
+        let backend =
+            JaccardBackend::try_new(JaccardSearcher::new(KnnDesign::new(12)), data).unwrap();
         let batch = backend.serve_batch(&queries, 5);
         assert_eq!(batch.results.len(), queries.len());
         for result in &batch.results {
@@ -608,9 +573,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "dataset dims must match")]
-    fn dims_mismatch_panics() {
+    fn dims_mismatch_is_a_typed_error() {
         let data = uniform_dataset(8, 16, 1);
-        let _ = ApEngineBackend::new(ApKnnEngine::new(KnnDesign::new(8)), data);
+        let mismatch = SearchError::DimMismatch {
+            expected: 8,
+            actual: 16,
+        };
+        let design = KnnDesign::new(8);
+        assert_eq!(
+            ApEngineBackend::try_new(ApKnnEngine::new(design), data.clone()).unwrap_err(),
+            mismatch
+        );
+        assert_eq!(
+            ApSchedulerBackend::try_new(ParallelApScheduler::new(design), data.clone())
+                .unwrap_err(),
+            mismatch
+        );
+        assert_eq!(
+            JaccardBackend::try_new(JaccardSearcher::new(design), data).unwrap_err(),
+            mismatch
+        );
     }
 }

@@ -1,11 +1,10 @@
-//! The one batch-execution recipe shared by every serving front end.
+//! The batch-execution recipe of a [`crate::ServiceRuntime`] dispatch.
 //!
-//! Both the synchronous [`crate::SearchService`] and each worker of the
-//! concurrent [`crate::ServiceRuntime`] dispatch a batch the same way: time
-//! the backend call, verify the result arity (a custom backend returning the
-//! wrong number of results would otherwise silently drop completions), and
-//! fold the outcome into [`ServiceStats`]. Keeping that recipe here means the
-//! two front ends cannot drift apart in accounting or failure semantics.
+//! A worker thread and a caller driving [`crate::ServiceRuntime::poll`]
+//! dispatch a batch the same way: time the backend call, verify the result
+//! arity (a custom backend returning the wrong number of results would
+//! otherwise silently drop completions), and fold the outcome into
+//! [`ServiceStats`].
 
 use crate::backend::{BackendBatch, SimilarityBackend};
 use crate::stats::ServiceStats;
@@ -35,8 +34,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 /// backend produced exactly one result list per query. A *panicking* backend
 /// is contained here and reported as a typed [`SearchError::Backend`] — a
 /// runtime worker must survive it (its thread dying would strand every queued
-/// ticket), and the synchronous service gets the same per-ticket failure
-/// semantics for free.
+/// ticket), and a polling caller gets the same per-ticket failure semantics
+/// instead of an unwind.
 pub(crate) fn execute_batch(
     backend: &dyn SimilarityBackend,
     queries: &[BinaryVector],

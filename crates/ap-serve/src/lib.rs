@@ -18,21 +18,24 @@
 //! * [`LiveBackend`] — the mutable-corpus backend over an
 //!   [`ap_knn::LiveEngine`]: epoch-snapshot queries plus insert/delete
 //!   mutations applied through the same admission queue as queries.
-//! * [`AdmissionQueue`] — coalesces submitted queries into batches sized to
-//!   the engine's multiplexing width ([`ap_knn::multiplex::MAX_SLICES`] by
-//!   default), tracking how full the dispatched batches are.
 //! * [`ShardedDataset`] / [`ShardedBackend`] — partitions the corpus across N
 //!   simulated boards, fans every batch out to per-shard backends on scoped
 //!   threads, and merges the per-shard top-k on the host — the same merge the
 //!   engine already performs across sequential reconfigurations.
 //! * [`ResultCache`] — an LRU cache keyed by `(query, k)`, so repeated queries
 //!   are answered without touching the fabric.
-//! * [`ServiceRuntime`] — **the concurrent front door**: N worker threads,
-//!   each owning its own backend (worker-owned prepared engines), fed by a
-//!   bounded priority/deadline-aware admission queue with backpressure
+//! * [`ServiceRuntime`] — **the serving front door**: a bounded
+//!   priority/deadline-aware admission queue that coalesces submitted queries
+//!   into batches sized to the engine's multiplexing width
+//!   ([`ap_knn::multiplex::MAX_SLICES`] by default), with backpressure
 //!   ([`binvec::SearchError::QueueFull`]) and deadline shedding
 //!   ([`binvec::SearchError::DeadlineExceeded`]); every ticket resolves
-//!   through its own completion channel.
+//!   through its own completion channel, and a [`ServiceStats`] report gives
+//!   throughput, batch-fill ratio, cache hit rate and per-shard utilization.
+//!   N worker threads, each owning its own backend (worker-owned prepared
+//!   engines), drain the queue — or, with zero workers, the caller does
+//!   through [`ServiceRuntime::poll`], which makes batch formation
+//!   deterministic.
 //! * [`net`] — **the network front door**: a length-prefixed binary wire
 //!   protocol ([`Frame`]/[`FrameBuffer`]), a TCP server ([`ApServer`]) that
 //!   decodes frames and feeds the [`ServiceRuntime`] (one reader thread per
@@ -40,10 +43,6 @@
 //!   client ([`ApClient`]), and a waker-driven [`CompletionSet`] so one
 //!   thread multiplexes thousands of in-flight tickets without per-ticket
 //!   `wait()` calls.
-//! * [`SearchService`] — the synchronous single-worker front door: `submit`
-//!   single queries, `drain` completed results, read a [`ServiceStats`]
-//!   report (throughput, batch-fill ratio, cache hit rate, per-shard
-//!   utilization). It shares the batch-execution core with the runtime.
 //! * [`SearchPipeline`] — **the one query API**: a fluent builder
 //!   (`over → metric → backend → sharded → cached → build`) that constructs any
 //!   backend family behind one fallible `query`/`query_batch` interface, with
@@ -90,7 +89,6 @@ pub mod pipeline;
 pub mod queue;
 pub mod registry;
 pub mod runtime;
-pub mod service;
 pub mod shard;
 pub mod stats;
 
@@ -111,9 +109,10 @@ pub use pipeline::{
     BackendSpec, BaselineKind, IndexKind, Metric, Provenance, Query, Response, SearchPipeline,
     SearchPipelineBuilder,
 };
-pub use queue::{AdmissionQueue, QueryTicket};
+pub use queue::QueryTicket;
 pub use registry::{BackendFactory, BackendRegistry};
-pub use runtime::{RuntimeConfig, ServiceRuntime, TicketHandle, TicketResult};
-pub use service::{Completed, FailedQuery, SearchService, ServiceConfig};
+pub use runtime::{
+    Completed, FailedQuery, RuntimeConfig, ServiceRuntime, TicketHandle, TicketResult,
+};
 pub use shard::{ShardedBackend, ShardedDataset};
 pub use stats::ServiceStats;

@@ -54,8 +54,17 @@ impl ApServer {
     /// accepting connections that feed `runtime`.
     ///
     /// # Errors
-    /// Whatever binding the listener returns.
+    /// [`std::io::ErrorKind::InvalidInput`] for a zero-worker runtime — no
+    /// server thread calls [`ServiceRuntime::poll`], so every client would
+    /// wait forever — and whatever binding the listener returns.
     pub fn bind(addr: impl ToSocketAddrs, runtime: Arc<ServiceRuntime>) -> std::io::Result<Self> {
+        if runtime.worker_count() == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a zero-worker runtime is driven by its caller's poll(); \
+                 serving it over the network needs at least one worker",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         // Nonblocking accept + poll tick: std has no accept timeout, and a
         // blocked accept would make shutdown wait for one more client.

@@ -35,7 +35,7 @@ use crate::backend::{
 };
 use crate::cache::{ResultCache, MAX_CACHE_CAPACITY};
 use crate::registry::BackendRegistry;
-use crate::service::{SearchService, ServiceConfig};
+use crate::runtime::{RuntimeConfig, ServiceRuntime};
 use crate::shard::{ShardedBackend, ShardedDataset};
 use ap_knn::engine::ApRunStats;
 use ap_knn::indexed::DatasetBackedIndex;
@@ -467,7 +467,7 @@ impl SearchPipelineBuilder {
 ///
 /// Construct with [`SearchPipeline::over`], answer with [`SearchPipeline::query`]
 /// / [`SearchPipeline::query_batch`], or hand the configured backend to the
-/// batching [`SearchService`] with [`SearchPipeline::into_service`].
+/// batching [`ServiceRuntime`] with [`SearchPipeline::into_runtime`].
 pub struct SearchPipeline {
     backend: Box<dyn SimilarityBackend>,
     cache: ResultCache,
@@ -642,18 +642,19 @@ impl SearchPipeline {
             .collect())
     }
 
-    /// Hands the configured backend to a batching [`SearchService`] front
-    /// door (admission queue, eager full-batch dispatch, service statistics).
+    /// Hands the configured backend to a batching [`ServiceRuntime`] front
+    /// door (admission queue, batched dispatch, service statistics), shared by
+    /// all of `config.workers` workers.
     ///
-    /// Only the backend (including sharding) carries over: the service keeps
+    /// Only the backend (including sharding) carries over: the runtime keeps
     /// its own result cache governed by `config.cache_capacity`, so a
     /// pipeline-level [`SearchPipelineBuilder::cached`] setting does not
-    /// apply to the service.
+    /// apply to the runtime.
     ///
     /// # Errors
-    /// Whatever [`ServiceConfig::build`] rejects.
-    pub fn into_service(self, config: ServiceConfig) -> Result<SearchService, SearchError> {
-        SearchService::try_new(self.backend, config)
+    /// Whatever [`RuntimeConfig::build`] rejects.
+    pub fn into_runtime(self, config: RuntimeConfig) -> Result<ServiceRuntime, SearchError> {
+        ServiceRuntime::try_shared(config, self.backend.into())
     }
 }
 
@@ -817,22 +818,26 @@ mod tests {
     }
 
     #[test]
-    fn into_service_serves_the_configured_backend() {
+    fn into_runtime_serves_the_configured_backend() {
         let (data, queries) = fixtures(30, 16);
         let direct = LinearScan::new(data.clone());
-        let service_config = ServiceConfig::default().with_batch_size(2).with_k(3);
-        let mut service = SearchPipeline::over(data)
+        let config = RuntimeConfig::default()
+            .with_workers(0)
+            .with_batch_size(2)
+            .with_options(QueryOptions::top(3));
+        let runtime = SearchPipeline::over(data)
             .backend(BackendSpec::behavioral())
             .build()
             .unwrap()
-            .into_service(service_config)
+            .into_runtime(config)
             .unwrap();
-        for q in &queries {
-            service.submit(q.clone());
-        }
-        let completed = service.drain();
-        for (c, q) in completed.iter().zip(&queries) {
-            assert_eq!(c.neighbors, direct.search(q, 3));
+        let handles: Vec<_> = queries
+            .iter()
+            .map(|q| runtime.try_submit(q.clone()).unwrap())
+            .collect();
+        runtime.poll();
+        for (handle, q) in handles.into_iter().zip(&queries) {
+            assert_eq!(handle.wait().unwrap().neighbors, direct.search(q, 3));
         }
     }
 }

@@ -6,21 +6,16 @@
 //! multiplexing packs up to seven queries into one window (§VI-B) — which is
 //! why the service's default batch size is the multiplex width.
 //!
-//! Two queue shapes live here:
-//!
-//! * [`AdmissionQueue`] — the synchronous [`crate::SearchService`]'s FIFO
-//!   batcher: holds submitted queries until a full batch is available (or the
-//!   caller forces a flush) and hands the service the batch to dispatch.
-//! * `ScheduledQueue` (crate-internal) — the concurrent
-//!   [`crate::ServiceRuntime`]'s bounded MPMC admission heap: entries are
-//!   ordered by priority, then deadline (earliest first), then submission
-//!   order; `try_push` refuses with a full queue instead of blocking or
-//!   growing, and workers pop deadline-checked batches of
-//!   schedule-compatible entries.
+//! `ScheduledQueue` (crate-internal) is [`crate::ServiceRuntime`]'s bounded
+//! MPMC admission heap: entries are ordered by priority, then deadline
+//! (earliest first), then submission order; `try_push` refuses with a full
+//! queue instead of blocking or growing, and workers — or the caller of
+//! [`crate::ServiceRuntime::poll`] — pop deadline-checked batches of
+//! schedule-compatible entries.
 
-use binvec::{BinaryVector, Deadline, Priority};
+use binvec::{Deadline, Priority};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::sync::{Condvar, Mutex};
 
 /// Opaque handle identifying one submitted query; tickets are issued in
@@ -32,88 +27,6 @@ impl QueryTicket {
     /// The ticket's sequence number (submission order).
     pub fn sequence(&self) -> u64 {
         self.0
-    }
-}
-
-/// One queued query awaiting dispatch.
-#[derive(Clone, Debug)]
-pub struct PendingQuery {
-    /// The ticket issued at submission.
-    pub ticket: QueryTicket,
-    /// The query itself.
-    pub query: BinaryVector,
-}
-
-/// Coalesces single-query submissions into batches of a fixed target size.
-#[derive(Clone, Debug)]
-pub struct AdmissionQueue {
-    batch_size: usize,
-    pending: VecDeque<PendingQuery>,
-    next_ticket: u64,
-}
-
-impl AdmissionQueue {
-    /// Creates a queue dispatching batches of `batch_size` queries.
-    ///
-    /// # Panics
-    /// Panics if `batch_size` is zero.
-    pub fn new(batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        Self {
-            batch_size,
-            pending: VecDeque::new(),
-            next_ticket: 0,
-        }
-    }
-
-    /// The configured batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
-    /// Number of queries waiting for a batch.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether no queries are waiting.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Enqueues a query and returns its ticket.
-    pub fn submit(&mut self, query: BinaryVector) -> QueryTicket {
-        let ticket = self.mint_ticket();
-        self.pending.push_back(PendingQuery { ticket, query });
-        ticket
-    }
-
-    /// Issues a ticket without enqueueing anything — for queries the caller
-    /// can answer without a dispatch (e.g. a cache hit), keeping the ticket
-    /// sequence shared with queued queries.
-    pub fn mint_ticket(&mut self) -> QueryTicket {
-        let ticket = QueryTicket(self.next_ticket);
-        self.next_ticket += 1;
-        ticket
-    }
-
-    /// Takes one batch if a full one is available, in submission order.
-    pub fn take_full_batch(&mut self) -> Option<Vec<PendingQuery>> {
-        (self.pending.len() >= self.batch_size).then(|| self.take(self.batch_size))
-    }
-
-    /// Takes whatever is pending (at most one batch), full or not. Returns
-    /// `None` when the queue is empty.
-    pub fn take_partial_batch(&mut self) -> Option<Vec<PendingQuery>> {
-        if self.pending.is_empty() {
-            None
-        } else {
-            Some(self.take(self.batch_size.min(self.pending.len())))
-        }
-    }
-
-    fn take(&mut self, count: usize) -> Vec<PendingQuery> {
-        self.pending.drain(..count).collect()
     }
 }
 
@@ -187,9 +100,10 @@ struct ScheduledInner<T> {
 /// A bounded MPMC admission queue with priority/deadline-aware ordering.
 ///
 /// Producers `try_push` (refusing, never blocking, when full); consumers
-/// `pop_batch` blocks until work or shutdown and returns up to one batch of
-/// schedule-compatible entries, splitting off any entries whose deadline has
-/// already expired so the caller can fail them without dispatching.
+/// `pop_batch` — blocking until work or shutdown if they ask to — up to one
+/// batch of schedule-compatible entries, splitting off any entries whose
+/// deadline has already expired so the caller can fail them without
+/// dispatching.
 pub(crate) struct ScheduledQueue<T> {
     inner: Mutex<ScheduledInner<T>>,
     not_empty: Condvar,
@@ -242,18 +156,21 @@ impl<T> ScheduledQueue<T> {
         Ok(())
     }
 
-    /// Blocks until entries are pending (or the queue is closed), then pops up
-    /// to `max` entries in schedule order into `batch`. Entries whose deadline
-    /// expired are diverted into `expired` (they do not count toward `max` and
-    /// do not end a batch). Popping stops early at the first entry for which
-    /// `compatible(first, candidate)` is false, leaving it queued — so one
-    /// dispatch only ever carries entries that can share a backend call.
+    /// Pops up to `max` entries in schedule order into `batch`, first blocking
+    /// until entries are pending (or the queue is closed) if `wait` is set —
+    /// a worker thread's pop; a caller-driven one does not wait. Entries whose
+    /// deadline expired are diverted into `expired` (they do not count toward
+    /// `max` and do not end a batch). Popping stops early at the first entry
+    /// for which `compatible(first, candidate)` is false, leaving it queued —
+    /// so one dispatch only ever carries entries that can share a backend call.
     ///
-    /// Returns `false` once the queue is closed *and* fully drained — the
-    /// consumer should exit. `batch` and `expired` are cleared first.
+    /// Returns `false` when nothing was pending: the queue is closed *and*
+    /// fully drained (a waiting consumer should exit) or, without `wait`,
+    /// merely empty. `batch` and `expired` are cleared first.
     pub(crate) fn pop_batch(
         &self,
         max: usize,
+        wait: bool,
         batch: &mut Vec<Scheduled<T>>,
         expired: &mut Vec<Scheduled<T>>,
         mut compatible: impl FnMut(&T, &T) -> bool,
@@ -265,7 +182,7 @@ impl<T> ScheduledQueue<T> {
             if !inner.heap.is_empty() {
                 break;
             }
-            if inner.closed {
+            if inner.closed || !wait {
                 return false;
             }
             inner = self
@@ -301,53 +218,6 @@ impl<T> ScheduledQueue<T> {
 mod tests {
     use super::*;
 
-    fn query(bit: usize) -> BinaryVector {
-        let mut v = BinaryVector::zeros(16);
-        v.set(bit, true);
-        v
-    }
-
-    #[test]
-    fn tickets_are_sequential_and_batches_preserve_order() {
-        let mut queue = AdmissionQueue::new(3);
-        let tickets: Vec<_> = (0..7).map(|i| queue.submit(query(i))).collect();
-        assert!(tickets.windows(2).all(|w| w[0] < w[1]));
-
-        let first = queue.take_full_batch().expect("full batch");
-        assert_eq!(
-            first.iter().map(|p| p.ticket).collect::<Vec<_>>(),
-            &tickets[..3]
-        );
-        let second = queue.take_full_batch().expect("full batch");
-        assert_eq!(
-            second.iter().map(|p| p.ticket).collect::<Vec<_>>(),
-            &tickets[3..6]
-        );
-        // One query left: not a full batch.
-        assert!(queue.take_full_batch().is_none());
-        assert_eq!(queue.pending(), 1);
-        let tail = queue.take_partial_batch().expect("partial batch");
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail[0].ticket, tickets[6]);
-        assert!(queue.take_partial_batch().is_none());
-    }
-
-    #[test]
-    fn partial_take_is_capped_at_one_batch() {
-        let mut queue = AdmissionQueue::new(4);
-        for i in 0..6 {
-            queue.submit(query(i));
-        }
-        assert_eq!(queue.take_partial_batch().expect("batch").len(), 4);
-        assert_eq!(queue.take_partial_batch().expect("batch").len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_size_panics() {
-        let _ = AdmissionQueue::new(0);
-    }
-
     fn entry(ticket: u64, priority: Priority, deadline: Option<Deadline>) -> Scheduled<u64> {
         Scheduled {
             ticket: QueryTicket(ticket),
@@ -376,7 +246,7 @@ mod tests {
 
         let mut batch = Vec::new();
         let mut expired = Vec::new();
-        assert!(queue.pop_batch(6, &mut batch, &mut expired, |_, _| true));
+        assert!(queue.pop_batch(6, true, &mut batch, &mut expired, |_, _| true));
         let order: Vec<u64> = batch.iter().map(|e| e.payload).collect();
         // High first; within Normal the earlier deadline wins, a deadline
         // beats no deadline, and no-deadline entries stay FIFO; Low last.
@@ -402,9 +272,9 @@ mod tests {
         // Consumers drain the remainder, then observe the close.
         let mut batch = Vec::new();
         let mut expired = Vec::new();
-        assert!(queue.pop_batch(8, &mut batch, &mut expired, |_, _| true));
+        assert!(queue.pop_batch(8, true, &mut batch, &mut expired, |_, _| true));
         assert_eq!(batch.len(), 2);
-        assert!(!queue.pop_batch(8, &mut batch, &mut expired, |_, _| true));
+        assert!(!queue.pop_batch(8, true, &mut batch, &mut expired, |_, _| true));
     }
 
     #[test]
@@ -424,6 +294,7 @@ mod tests {
         let mut expired = Vec::new();
         assert!(queue.pop_batch(
             8,
+            false,
             &mut batch,
             &mut expired,
             // Tickets 1 (High) and 2 (Normal) are incompatible payloads here.
@@ -434,5 +305,8 @@ mod tests {
         assert_eq!(batch.len(), 1, "incompatible follower stays queued");
         assert_eq!(batch[0].payload, 1);
         assert_eq!(queue.len(), 1);
+        // A caller-driven pop reports an empty open queue instead of waiting.
+        assert!(queue.pop_batch(8, false, &mut batch, &mut expired, |_, _| true));
+        assert!(!queue.pop_batch(8, false, &mut batch, &mut expired, |_, _| true));
     }
 }

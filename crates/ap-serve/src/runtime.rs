@@ -1,12 +1,10 @@
-//! The concurrent serving runtime: worker-owned backends fed by a bounded,
+//! The serving runtime — the one front end: backends fed by a bounded,
 //! deadline/priority-aware admission queue, with per-ticket completion
 //! channels.
 //!
-//! The synchronous [`crate::SearchService`] is a pull loop over `&mut self`:
-//! one caller, one backend, no overlap between encoding, streaming, and
-//! decoding. The paper's throughput story (§VI: query multiplexing fills the
-//! symbol stream, batches dispatch at the multiplex width) assumes a server
-//! that is *continuously fed* — which takes concurrency:
+//! The paper's throughput story (§VI: query multiplexing fills the symbol
+//! stream, batches dispatch at the multiplex width) assumes a server that is
+//! *continuously fed* — which takes concurrency:
 //!
 //! ```text
 //!  callers ──try_submit──▶ ScheduledQueue ──pop_batch──▶ worker 0 ─┐
@@ -35,6 +33,11 @@
 //!   *their* [`TicketHandle`], not on a global drain, so a slow batch never
 //!   delays the delivery of an unrelated finished one.
 //!
+//! With [`RuntimeConfig::workers`] at 0 no thread is spawned: the caller
+//! drives the same step with [`ServiceRuntime::poll`], which makes batch
+//! formation deterministic (10 submissions at batch size 4 dispatch as
+//! 4, 4, 2) — what tests, examples and single-threaded sweeps rely on.
+//!
 //! Every admitted query resolves exactly once — as a [`Completed`] or a
 //! [`FailedQuery`] — and the [`ServiceStats`] conservation invariant
 //! `submitted == served + failed + deadline_expired` holds once all tickets
@@ -44,19 +47,20 @@ use crate::backend::SimilarityBackend;
 use crate::cache::{ResultCache, MAX_CACHE_CAPACITY};
 use crate::dispatch;
 use crate::queue::{PushRefused, QueryTicket, Scheduled, ScheduledQueue};
-use crate::service::{Completed, FailedQuery};
 use crate::stats::ServiceStats;
 use ap_knn::multiplex::MAX_SLICES;
-use binvec::{BinaryVector, MutAck, Mutation, QueryOptions, SearchError};
+use binvec::{BinaryVector, MutAck, Mutation, Neighbor, QueryOptions, SearchError};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Configuration for a [`ServiceRuntime`].
 #[derive(Clone, Copy, Debug)]
 pub struct RuntimeConfig {
-    /// Worker threads, each owning one backend instance.
+    /// Worker threads, each owning one backend instance. With 0 no thread
+    /// is spawned and the caller drives dispatch through
+    /// [`ServiceRuntime::poll`].
     pub workers: usize,
     /// Maximum queries pending in the admission queue before `try_submit`
     /// refuses with [`SearchError::QueueFull`].
@@ -116,16 +120,10 @@ impl RuntimeConfig {
     /// Validates the configuration.
     ///
     /// # Errors
-    /// [`SearchError::InvalidConfig`] for a zero worker count, queue capacity,
-    /// or batch size (or an absurd cache capacity), plus whatever
+    /// [`SearchError::InvalidConfig`] for a zero queue capacity or batch size
+    /// (or an absurd cache capacity), plus whatever
     /// [`QueryOptions::validate`] rejects.
     pub fn build(self) -> Result<Self, SearchError> {
-        if self.workers == 0 {
-            return Err(SearchError::InvalidConfig {
-                field: "workers",
-                reason: "need at least one worker".to_string(),
-            });
-        }
         if self.queue_capacity == 0 {
             return Err(SearchError::InvalidConfig {
                 field: "queue_capacity",
@@ -150,6 +148,37 @@ impl RuntimeConfig {
         self.options.validate()?;
         Ok(self)
     }
+}
+
+/// A finished query: the ticket issued at submission and its neighbors.
+#[derive(Clone, Debug)]
+pub struct Completed {
+    /// The ticket issued for this query at submission.
+    pub ticket: QueryTicket,
+    /// The submitted query. For a mutation ticket this is the inserted vector
+    /// (or an empty placeholder for a delete).
+    pub query: BinaryVector,
+    /// The k nearest neighbors, sorted by (distance, id). Empty for mutation
+    /// tickets — their payload is [`Self::mutation`].
+    pub neighbors: Vec<Neighbor>,
+    /// Set when this ticket was a mutation submitted through
+    /// [`ServiceRuntime::try_submit_mutation`]: the ack carrying the stable id
+    /// and the generation at which the mutation became visible. `None` for
+    /// query tickets.
+    pub mutation: Option<MutAck>,
+}
+
+/// A ticket that resolved without a result — its batch failed at dispatch,
+/// its deadline expired, or its mutation was refused — delivered with the
+/// typed error, so one bad batch never wedges the queue behind it.
+#[derive(Clone, Debug)]
+pub struct FailedQuery {
+    /// The ticket issued for this query at submission.
+    pub ticket: QueryTicket,
+    /// The submitted query.
+    pub query: BinaryVector,
+    /// Why the ticket failed.
+    pub error: SearchError,
 }
 
 /// What a worker (or the admission path) delivers through a ticket's channel.
@@ -323,49 +352,6 @@ impl TicketHandle {
     }
 }
 
-/// A worker-side view of one shared backend: delegates every call through the
-/// `Arc`, so [`ServiceRuntime::try_shared`] can hand a single prepared
-/// backend to every worker without the workers owning copies.
-struct SharedBackend(Arc<dyn SimilarityBackend>);
-
-impl SimilarityBackend for SharedBackend {
-    fn name(&self) -> String {
-        self.0.name()
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn dims(&self) -> usize {
-        self.0.dims()
-    }
-
-    fn serve_batch(&self, queries: &[BinaryVector], k: usize) -> crate::backend::BackendBatch {
-        self.0.serve_batch(queries, k)
-    }
-
-    fn try_serve_batch(
-        &self,
-        queries: &[BinaryVector],
-        options: &QueryOptions,
-    ) -> Result<crate::backend::BackendBatch, SearchError> {
-        self.0.try_serve_batch(queries, options)
-    }
-
-    fn apply_mutation(&self, mutation: &Mutation) -> Result<MutAck, SearchError> {
-        self.0.apply_mutation(mutation)
-    }
-
-    fn apply_mutations(&self, mutations: &[&Mutation]) -> Vec<Result<MutAck, SearchError>> {
-        self.0.apply_mutations(mutations)
-    }
-
-    fn live_status(&self) -> Option<ap_knn::live::LiveStatus> {
-        self.0.live_status()
-    }
-}
-
 /// What one admitted ticket asks a worker to do: dispatch a query, or apply
 /// a corpus mutation. Both flavors ride the same priority ▸ deadline ▸ FIFO
 /// queue; workers never batch the two kinds together.
@@ -384,6 +370,15 @@ impl Work {
             Self::Mutation(Mutation::Delete { .. }) => BinaryVector::zeros(0),
         }
     }
+
+    /// Counts one ticket of this kind shed on its deadline: queries have
+    /// their own counter, a shed mutation is a failed mutation.
+    fn count_shed(&self, stats: &mut ServiceStats) {
+        match self {
+            Self::Query(_) => stats.deadline_expired += 1,
+            Self::Mutation(_) => stats.mutations_failed += 1,
+        }
+    }
 }
 
 /// One queued ticket: everything a worker needs to execute and deliver it.
@@ -398,18 +393,60 @@ struct Pending {
     submitted_at: Instant,
 }
 
+/// Resolves one ticket — the only place a [`Completed`] or [`FailedQuery`] is
+/// built: neighbors plus the mutation ack (if any), or the typed failure.
+fn resolve(
+    entry: Scheduled<Pending>,
+    outcome: Result<(Vec<Neighbor>, Option<MutAck>), SearchError>,
+) {
+    let Pending {
+        work,
+        mut completion,
+        ..
+    } = entry.payload;
+    let (ticket, query) = (entry.ticket, work.into_vector());
+    completion.deliver(match outcome {
+        Ok((neighbors, mutation)) => Ok(Completed {
+            ticket,
+            query,
+            neighbors,
+            mutation,
+        }),
+        Err(error) => Err(FailedQuery {
+            ticket,
+            query,
+            error,
+        }),
+    });
+}
+
 /// State shared between the submission front and the workers.
 struct Shared {
     queue: ScheduledQueue<Pending>,
     cache: Mutex<ResultCache>,
     stats: Mutex<ServiceStats>,
+    batch_size: usize,
 }
 
-/// A concurrent query-serving runtime over worker-owned
-/// [`SimilarityBackend`]s. See the module docs for the architecture.
+impl Shared {
+    fn cache(&self) -> MutexGuard<'_, ResultCache> {
+        self.cache.lock().expect("runtime cache poisoned")
+    }
+
+    fn stats(&self) -> MutexGuard<'_, ServiceStats> {
+        self.stats.lock().expect("runtime stats poisoned")
+    }
+}
+
+/// A query-serving runtime over [`SimilarityBackend`]s: worker threads, or —
+/// with zero workers — the caller's own thread through [`Self::poll`]. See
+/// the module docs for the architecture.
 pub struct ServiceRuntime {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
+    /// The worker [`Self::poll`] drives; `Some` exactly when no thread was
+    /// spawned.
+    inline: Option<Mutex<Worker>>,
     config: RuntimeConfig,
     backend_name: String,
     dims: usize,
@@ -421,20 +458,47 @@ impl ServiceRuntime {
     /// Creates a runtime whose `config.workers` workers each own the backend
     /// `factory(worker_index)` builds for them — the worker-owned form:
     /// nothing about execution (prepared board images, scratch pools) is
-    /// shared between workers.
+    /// shared between workers. A zero-worker runtime builds `factory(0)` for
+    /// [`Self::poll`] to serve from.
     ///
     /// # Errors
     /// Whatever [`RuntimeConfig::build`] or the factory rejects, plus
     /// [`SearchError::InvalidConfig`] if the per-worker backends disagree on
     /// dimensionality.
-    pub fn try_new<F>(config: RuntimeConfig, mut factory: F) -> Result<Self, SearchError>
+    pub fn try_new<F>(config: RuntimeConfig, factory: F) -> Result<Self, SearchError>
     where
         F: FnMut(usize) -> Result<Box<dyn SimilarityBackend>, SearchError>,
     {
         let config = config.build()?;
-        let backends: Vec<Box<dyn SimilarityBackend>> = (0..config.workers)
-            .map(&mut factory)
+        let backends = (0..config.workers.max(1))
+            .map(factory)
+            .map(|backend| backend.map(Arc::<dyn SimilarityBackend>::from))
             .collect::<Result<_, _>>()?;
+        Self::start(config, backends)
+    }
+
+    /// Creates a runtime whose workers all serve the *same* backend through an
+    /// [`Arc`] — the shared form: one prepared board-image set (and one
+    /// execution-scratch pool) serves every worker. Backends are `Sync`, so
+    /// this is safe; prefer [`Self::try_new`] when per-worker isolation (own
+    /// images, own pool) matters more than memory.
+    ///
+    /// # Errors
+    /// Whatever [`RuntimeConfig::build`] rejects.
+    pub fn try_shared(
+        config: RuntimeConfig,
+        backend: Arc<dyn SimilarityBackend>,
+    ) -> Result<Self, SearchError> {
+        let config = config.build()?;
+        Self::start(config, vec![backend; config.workers.max(1)])
+    }
+
+    /// Starts a validated configuration over one backend per worker (one in
+    /// all for a zero-worker runtime).
+    fn start(
+        config: RuntimeConfig,
+        backends: Vec<Arc<dyn SimilarityBackend>>,
+    ) -> Result<Self, SearchError> {
         let dims = backends[0].dims();
         let backend_name = backends[0].name();
         if let Some(other) = backends.iter().find(|b| b.dims() != dims) {
@@ -452,16 +516,26 @@ impl ServiceRuntime {
             queue: ScheduledQueue::new(config.queue_capacity),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
             stats: Mutex::new(ServiceStats::default()),
+            batch_size: config.batch_size,
         });
-        let handles = backends
-            .into_iter()
+        let mut workers = backends.into_iter().map(|backend| Worker {
+            backend,
+            batch: Vec::with_capacity(config.batch_size),
+            expired: Vec::new(),
+            queries: Vec::with_capacity(config.batch_size),
+        });
+        let inline = if config.workers == 0 {
+            workers.next().map(Mutex::new)
+        } else {
+            None
+        };
+        let handles = workers
             .enumerate()
-            .map(|(index, backend)| {
+            .map(|(index, mut worker)| {
                 let shared = Arc::clone(&shared);
-                let batch_size = config.batch_size;
                 std::thread::Builder::new()
                     .name(format!("ap-serve-worker-{index}"))
-                    .spawn(move || worker_loop(&shared, backend, batch_size))
+                    .spawn(move || while worker.step(&shared, true) {})
                     .expect("spawn runtime worker")
             })
             .collect();
@@ -469,28 +543,12 @@ impl ServiceRuntime {
         Ok(Self {
             shared,
             handles,
+            inline,
             config,
             backend_name,
             dims,
             next_ticket: AtomicU64::new(0),
             started: Instant::now(),
-        })
-    }
-
-    /// Creates a runtime whose workers all serve the *same* backend through an
-    /// [`Arc`] — the shared form: one prepared board-image set (and one
-    /// execution-scratch pool) serves every worker. Backends are `Sync`, so
-    /// this is safe; prefer [`Self::try_new`] when per-worker isolation (own
-    /// images, own pool) matters more than memory.
-    ///
-    /// # Errors
-    /// Whatever [`RuntimeConfig::build`] rejects.
-    pub fn try_shared(
-        config: RuntimeConfig,
-        backend: Arc<dyn SimilarityBackend>,
-    ) -> Result<Self, SearchError> {
-        Self::try_new(config, |_| {
-            Ok(Box::new(SharedBackend(Arc::clone(&backend))) as Box<dyn SimilarityBackend>)
         })
     }
 
@@ -509,9 +567,10 @@ impl ServiceRuntime {
         self.dims
     }
 
-    /// Worker threads serving dispatches.
+    /// Worker threads serving dispatches; 0 when the caller drives
+    /// [`Self::poll`].
     pub fn worker_count(&self) -> usize {
-        self.handles.len()
+        self.config.workers
     }
 
     /// Queries admitted but not yet popped by a worker.
@@ -543,7 +602,8 @@ impl ServiceRuntime {
     /// * [`SearchError::ZeroK`] / [`SearchError::ZeroDistanceBound`] — invalid
     ///   options;
     /// * [`SearchError::QueueFull`] — the bounded queue is at capacity
-    ///   (backpressure; no ticket was minted, retry or shed);
+    ///   (backpressure; the ticket is never handed out — retry, shed, or on a
+    ///   zero-worker runtime [`Self::poll`] first);
     /// * [`SearchError::Backend`] — the runtime has been shut down.
     pub fn try_submit_with(
         &self,
@@ -551,87 +611,8 @@ impl ServiceRuntime {
         options: &QueryOptions,
     ) -> Result<TicketHandle, SearchError> {
         options.validate()?;
-        if query.dims() == 0 {
-            return Err(SearchError::ZeroDims);
-        }
-        if query.dims() != self.dims {
-            return Err(SearchError::DimMismatch {
-                expected: self.dims,
-                actual: query.dims(),
-            });
-        }
-
-        // An already-expired deadline is failed at admission — typed, ticketed,
-        // and never dispatched.
-        if options.deadline.is_some_and(|d| d.is_expired()) {
-            let ticket = self.mint_ticket();
-            {
-                let mut stats = self.lock_stats();
-                stats.queries_submitted += 1;
-                stats.deadline_expired += 1;
-            }
-            let (mut completion, handle) = Completion::channel(ticket);
-            completion.deliver(Err(FailedQuery {
-                ticket,
-                query,
-                error: SearchError::DeadlineExceeded,
-            }));
-            return Ok(handle);
-        }
-
-        // Cache hits complete instantly without occupying the queue.
-        let cached = self
-            .shared
-            .cache
-            .lock()
-            .expect("runtime cache poisoned")
-            .get(&query, options);
-        if let Some(neighbors) = cached {
-            let ticket = self.mint_ticket();
-            {
-                let mut stats = self.lock_stats();
-                stats.queries_submitted += 1;
-                stats.queries_served += 1;
-            }
-            let (mut completion, handle) = Completion::channel(ticket);
-            completion.deliver(Ok(Completed {
-                ticket,
-                query,
-                neighbors,
-                mutation: None,
-            }));
-            return Ok(handle);
-        }
-
-        let ticket = self.mint_ticket();
-        let (completion, handle) = Completion::channel(ticket);
-        let entry = Scheduled {
-            ticket,
-            priority: options.priority,
-            deadline: options.deadline,
-            payload: Pending {
-                work: Work::Query(query),
-                options: *options,
-                completion,
-                submitted_at: Instant::now(),
-            },
-        };
-        match self.shared.queue.try_push(entry) {
-            Ok(()) => {
-                self.lock_stats().queries_submitted += 1;
-                Ok(handle)
-            }
-            Err(PushRefused::Full(_)) => {
-                self.lock_stats().queue_full_rejections += 1;
-                Err(SearchError::QueueFull {
-                    capacity: self.shared.queue.capacity(),
-                })
-            }
-            Err(PushRefused::Closed(_)) => Err(SearchError::Backend {
-                backend: self.backend_name.clone(),
-                reason: "runtime has been shut down".to_string(),
-            }),
-        }
+        self.check_dims(&query)?;
+        self.admit(Work::Query(query), options)
     }
 
     /// Submits one corpus mutation (insert or delete) as a ticket riding the
@@ -652,7 +633,7 @@ impl ServiceRuntime {
     /// # Errors
     /// * [`SearchError::ZeroDims`] / [`SearchError::DimMismatch`] — a
     ///   malformed insert vector, rejected before a ticket is minted;
-    /// * [`SearchError::QueueFull`] — backpressure, no ticket minted;
+    /// * [`SearchError::QueueFull`] — backpressure, no ticket handed out;
     /// * [`SearchError::Backend`] — the runtime has been shut down.
     pub fn try_submit_mutation(
         &self,
@@ -661,53 +642,81 @@ impl ServiceRuntime {
     ) -> Result<TicketHandle, SearchError> {
         options.validate()?;
         if let Mutation::Insert { vector } = &mutation {
-            if vector.dims() == 0 {
-                return Err(SearchError::ZeroDims);
-            }
-            if vector.dims() != self.dims {
-                return Err(SearchError::DimMismatch {
-                    expected: self.dims,
-                    actual: vector.dims(),
-                });
-            }
+            self.check_dims(vector)?;
         }
+        self.admit(Work::Mutation(mutation), options)
+    }
 
-        if options.deadline.is_some_and(|d| d.is_expired()) {
-            let ticket = self.mint_ticket();
-            {
-                let mut stats = self.lock_stats();
-                stats.mutations_submitted += 1;
-                stats.mutations_failed += 1;
-            }
-            let (mut completion, handle) = Completion::channel(ticket);
-            completion.deliver(Err(FailedQuery {
-                ticket,
-                query: Work::Mutation(mutation).into_vector(),
-                error: SearchError::DeadlineExceeded,
-            }));
-            return Ok(handle);
+    fn check_dims(&self, vector: &BinaryVector) -> Result<(), SearchError> {
+        if vector.dims() == 0 {
+            return Err(SearchError::ZeroDims);
         }
+        if vector.dims() != self.dims {
+            return Err(SearchError::DimMismatch {
+                expected: self.dims,
+                actual: vector.dims(),
+            });
+        }
+        Ok(())
+    }
 
-        let ticket = self.mint_ticket();
+    /// The one admission path behind queries and mutations: an expired
+    /// deadline fails the ticket on the spot (typed, ticketed, never
+    /// dispatched), a cached query completes on the spot without occupying
+    /// the queue, and everything else is enqueued or refused.
+    fn admit(&self, work: Work, options: &QueryOptions) -> Result<TicketHandle, SearchError> {
+        let ticket = QueryTicket(self.next_ticket.fetch_add(1, Ordering::Relaxed));
         let (completion, handle) = Completion::channel(ticket);
+        let is_query = matches!(work, Work::Query(_));
+        let expired = options.deadline.is_some_and(|d| d.is_expired());
+        let cached = match &work {
+            Work::Query(query) if !expired => self.shared.cache().get(query, options),
+            _ => None,
+        };
         let entry = Scheduled {
             ticket,
             priority: options.priority,
             deadline: options.deadline,
             payload: Pending {
-                work: Work::Mutation(mutation),
+                work,
                 options: *options,
                 completion,
                 submitted_at: Instant::now(),
             },
         };
+        let count_submitted = |stats: &mut ServiceStats| {
+            if is_query {
+                stats.queries_submitted += 1;
+            } else {
+                stats.mutations_submitted += 1;
+            }
+        };
+
+        if expired {
+            {
+                let mut stats = self.shared.stats();
+                count_submitted(&mut stats);
+                entry.payload.work.count_shed(&mut stats);
+            }
+            resolve(entry, Err(SearchError::DeadlineExceeded));
+            return Ok(handle);
+        }
+        if let Some(neighbors) = cached {
+            {
+                let mut stats = self.shared.stats();
+                stats.queries_submitted += 1;
+                stats.queries_served += 1;
+            }
+            resolve(entry, Ok((neighbors, None)));
+            return Ok(handle);
+        }
         match self.shared.queue.try_push(entry) {
             Ok(()) => {
-                self.lock_stats().mutations_submitted += 1;
+                count_submitted(&mut self.shared.stats());
                 Ok(handle)
             }
             Err(PushRefused::Full(_)) => {
-                self.lock_stats().queue_full_rejections += 1;
+                self.shared.stats().queue_full_rejections += 1;
                 Err(SearchError::QueueFull {
                     capacity: self.shared.queue.capacity(),
                 })
@@ -719,13 +728,27 @@ impl ServiceRuntime {
         }
     }
 
+    /// Runs the serving step on the calling thread until the queue is empty
+    /// — how a zero-worker runtime dispatches. Batches form exactly as a
+    /// worker thread would form them, in schedule order, so the outcome is a
+    /// function of what was submitted. Concurrent callers take turns. With
+    /// worker threads this returns at once: they drive the queue.
+    pub fn poll(&self) {
+        if let Some(inline) = &self.inline {
+            // A step that panicked left only scratch behind, and every step
+            // clears its scratch first — the worker is sound after a poison.
+            let mut worker = inline.lock().unwrap_or_else(PoisonError::into_inner);
+            while worker.step(&self.shared, false) {}
+        }
+    }
+
     /// A snapshot of the service statistics.
     pub fn stats(&self) -> ServiceStats {
-        let mut stats = self.lock_stats().clone();
+        let mut stats = self.shared.stats().clone();
         stats.batch_size = self.config.batch_size;
-        stats.workers = self.handles.len();
+        stats.workers = self.config.workers;
         {
-            let cache = self.shared.cache.lock().expect("runtime cache poisoned");
+            let cache = self.shared.cache();
             stats.cache_hits = cache.hits();
             stats.cache_misses = cache.misses();
         }
@@ -733,9 +756,10 @@ impl ServiceRuntime {
         stats
     }
 
-    /// Closes the admission queue, lets the workers drain every pending query
-    /// (each ticket still resolves exactly once), joins them, and returns the
-    /// final statistics.
+    /// Closes the admission queue, drains every pending ticket (each still
+    /// resolves exactly once) — the workers do, then are joined; a
+    /// zero-worker runtime runs what is left inline — and returns the final
+    /// statistics.
     pub fn shutdown(mut self) -> ServiceStats {
         self.shutdown_impl();
         self.stats()
@@ -746,14 +770,7 @@ impl ServiceRuntime {
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
-    }
-
-    fn mint_ticket(&self) -> QueryTicket {
-        QueryTicket(self.next_ticket.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn lock_stats(&self) -> std::sync::MutexGuard<'_, ServiceStats> {
-        self.shared.stats.lock().expect("runtime stats poisoned")
+        self.poll();
     }
 }
 
@@ -763,17 +780,30 @@ impl Drop for ServiceRuntime {
     }
 }
 
-/// One worker: pop a deadline-checked, schedule-compatible batch; dispatch it
-/// (queries) or apply it (mutations) on the worker's own backend; deliver
-/// per-ticket results; repeat until the queue is closed and drained.
-fn worker_loop(shared: &Shared, backend: Box<dyn SimilarityBackend>, batch_size: usize) {
-    let mut batch: Vec<Scheduled<Pending>> = Vec::with_capacity(batch_size);
-    let mut expired: Vec<Scheduled<Pending>> = Vec::new();
-    let mut queries: Vec<BinaryVector> = Vec::with_capacity(batch_size);
-    loop {
-        let open = shared
-            .queue
-            .pop_batch(batch_size, &mut batch, &mut expired, |a, b| {
+/// One executor of the serving step — a worker thread's state, or the one
+/// [`ServiceRuntime::poll`] drives: the backend it serves from and the
+/// scratch it reuses from step to step.
+struct Worker {
+    backend: Arc<dyn SimilarityBackend>,
+    batch: Vec<Scheduled<Pending>>,
+    expired: Vec<Scheduled<Pending>>,
+    queries: Vec<BinaryVector>,
+}
+
+impl Worker {
+    /// One serving step, the body both modes execute: pop a deadline-checked,
+    /// schedule-compatible batch; fail its expired entries; apply it
+    /// (mutations) or dispatch it (queries) on this worker's backend; deliver
+    /// per-ticket results. With `wait` the pop blocks for work. Returns
+    /// `false` when there was nothing to pop — the queue is closed and
+    /// drained or, without `wait`, merely empty.
+    fn step(&mut self, shared: &Shared, wait: bool) -> bool {
+        let popped = shared.queue.pop_batch(
+            shared.batch_size,
+            wait,
+            &mut self.batch,
+            &mut self.expired,
+            |a, b| {
                 // Queries batch with queries sharing one ResultKey (they can
                 // share a backend call); mutations batch only with mutations
                 // (they are applied sequentially, never dispatched).
@@ -784,50 +814,43 @@ fn worker_loop(shared: &Shared, backend: Box<dyn SimilarityBackend>, batch_size:
                     (Work::Mutation(_), Work::Mutation(_)) => true,
                     _ => false,
                 }
-            });
+            },
+        );
+        if !popped {
+            return false;
+        }
 
         // Expired entries fail without dispatch — the fabric never sees them.
-        if !expired.is_empty() {
+        if !self.expired.is_empty() {
             {
-                let mut stats = shared.stats.lock().expect("runtime stats poisoned");
-                for entry in &expired {
-                    match entry.payload.work {
-                        Work::Query(_) => stats.deadline_expired += 1,
-                        Work::Mutation(_) => stats.mutations_failed += 1,
-                    }
+                let mut stats = shared.stats();
+                for entry in &self.expired {
+                    entry.payload.work.count_shed(&mut stats);
                 }
             }
-            for entry in expired.drain(..) {
-                let Pending {
-                    work,
-                    mut completion,
-                    ..
-                } = entry.payload;
-                completion.deliver(Err(FailedQuery {
-                    ticket: entry.ticket,
-                    query: work.into_vector(),
-                    error: SearchError::DeadlineExceeded,
-                }));
+            for entry in self.expired.drain(..) {
+                resolve(entry, Err(SearchError::DeadlineExceeded));
             }
         }
 
-        if batch.is_empty() {
-            if !open {
-                return;
-            }
-            continue;
+        match self.batch.first().map(|entry| &entry.payload.work) {
+            None => {}
+            // Mutation batches take their own path: applied, never dispatched.
+            Some(Work::Mutation(_)) => apply_mutations(shared, &*self.backend, &mut self.batch),
+            Some(Work::Query(_)) => self.dispatch_queries(shared),
         }
+        true
+    }
 
-        // Mutation batches take their own path: applied, never dispatched.
-        if matches!(batch[0].payload.work, Work::Mutation(_)) {
-            apply_mutations(shared, backend.as_ref(), &mut batch);
-            if !open && shared.queue.len() == 0 {
-                return;
-            }
-            continue;
-        }
-
-        // All entries in the batch share one ResultKey by construction.
+    /// Dispatches the popped query batch — all entries share one ResultKey by
+    /// construction — and delivers its results or its failure.
+    fn dispatch_queries(&mut self, shared: &Shared) {
+        let Self {
+            backend,
+            batch,
+            queries,
+            ..
+        } = self;
         let dispatch_started = Instant::now();
         let options = batch[0].payload.options;
         queries.clear();
@@ -839,11 +862,11 @@ fn worker_loop(shared: &Shared, backend: Box<dyn SimilarityBackend>, batch_size:
         // offered to the cache when it did not move, so a mutation landing
         // mid-dispatch cannot re-poison the cache with pre-swap neighbors.
         let generation_before = backend.live_status().map_or(0, |s| s.generation);
-        let dispatched = dispatch::execute_batch(backend.as_ref(), &queries, &options);
+        let dispatched = dispatch::execute_batch(&**backend, queries, &options);
         {
-            let mut stats = shared.stats.lock().expect("runtime stats poisoned");
-            dispatch::record_dispatch(&mut stats, &dispatched, batch.len(), batch_size);
-            for entry in &batch {
+            let mut stats = shared.stats();
+            dispatch::record_dispatch(&mut stats, &dispatched, batch.len(), shared.batch_size);
+            for entry in batch.iter() {
                 stats
                     .queue_wait
                     .record(dispatch_started.saturating_duration_since(entry.payload.submitted_at));
@@ -859,52 +882,23 @@ fn worker_loop(shared: &Shared, backend: Box<dyn SimilarityBackend>, batch_size:
                     // copy travels back in the Completed). `insert_at` drops
                     // the offer if the cache has already moved past this
                     // generation.
-                    let mut cache = shared.cache.lock().expect("runtime cache poisoned");
+                    let mut cache = shared.cache();
                     for (query, neighbors) in queries.drain(..).zip(&result.results) {
                         cache.insert_at(generation_after, query, &options, neighbors.clone());
                     }
                 }
-                shared
-                    .stats
-                    .lock()
-                    .expect("runtime stats poisoned")
-                    .queries_served += batch.len() as u64;
+                shared.stats().queries_served += batch.len() as u64;
                 for (entry, neighbors) in batch.drain(..).zip(result.results) {
-                    let Pending {
-                        work,
-                        mut completion,
-                        ..
-                    } = entry.payload;
-                    completion.deliver(Ok(Completed {
-                        ticket: entry.ticket,
-                        query: work.into_vector(),
-                        neighbors,
-                        mutation: None,
-                    }));
+                    resolve(entry, Ok((neighbors, None)));
                 }
             }
             Err(error) => {
                 // Fail the batch's tickets individually and move on: the next
                 // batch is independent, so one poison batch delays nothing.
                 for entry in batch.drain(..) {
-                    let Pending {
-                        work,
-                        mut completion,
-                        ..
-                    } = entry.payload;
-                    completion.deliver(Err(FailedQuery {
-                        ticket: entry.ticket,
-                        query: work.into_vector(),
-                        error: error.clone(),
-                    }));
+                    resolve(entry, Err(error.clone()));
                 }
             }
-        }
-
-        if !open && shared.queue.len() == 0 {
-            // Closed and drained: one final pop_batch would also return false,
-            // but exiting here saves a wakeup.
-            return;
         }
     }
 }
@@ -951,12 +945,8 @@ fn apply_mutations(
     if outcomes.iter().any(|o| o.is_ok()) {
         match backend.live_status() {
             Some(status) => {
-                shared
-                    .cache
-                    .lock()
-                    .expect("runtime cache poisoned")
-                    .advance_generation(status.generation);
-                let mut stats = shared.stats.lock().expect("runtime stats poisoned");
+                shared.cache().advance_generation(status.generation);
+                let mut stats = shared.stats();
                 stats.generation = status.generation;
                 stats.delta_vectors = status.delta_vectors as u64;
                 stats.tombstones = status.tombstones as u64;
@@ -974,13 +964,13 @@ fn apply_mutations(
             }
             // A backend that applied a mutation but exposes no live status:
             // flush unconditionally — correctness over hit rate.
-            None => shared.cache.lock().expect("runtime cache poisoned").flush(),
+            None => shared.cache().flush(),
         }
     }
 
     let visible_at = Instant::now();
     {
-        let mut stats = shared.stats.lock().expect("runtime stats poisoned");
+        let mut stats = shared.stats();
         for (entry, outcome) in batch.iter().zip(&outcomes) {
             match outcome {
                 Ok(_) => {
@@ -995,25 +985,7 @@ fn apply_mutations(
     }
 
     for (entry, outcome) in batch.drain(..).zip(outcomes) {
-        let Pending {
-            work,
-            mut completion,
-            ..
-        } = entry.payload;
-        let vector = work.into_vector();
-        match outcome {
-            Ok(ack) => completion.deliver(Ok(Completed {
-                ticket: entry.ticket,
-                query: vector,
-                neighbors: Vec::new(),
-                mutation: Some(ack),
-            })),
-            Err(error) => completion.deliver(Err(FailedQuery {
-                ticket: entry.ticket,
-                query: vector,
-                error,
-            })),
-        }
+        resolve(entry, outcome.map(|ack| (Vec::new(), Some(ack))));
     }
 }
 
@@ -1038,32 +1010,193 @@ mod tests {
     fn results_match_direct_search_and_tickets_resolve() {
         let dims = 16;
         let data = uniform_dataset(60, dims, 31);
-        let direct = LinearScan::new(data.clone());
-        let config = RuntimeConfig::default()
-            .with_workers(2)
-            .with_batch_size(3)
-            .with_cache_capacity(0)
-            .with_options(QueryOptions::top(4));
-        let runtime = ServiceRuntime::try_new(config, move |_| {
-            Ok(Box::new(LinearScan::new(data.clone())) as Box<dyn SimilarityBackend>)
-        })
-        .unwrap();
-        assert_eq!(runtime.worker_count(), 2);
+        let direct = LinearScan::new(data);
+        for workers in [0, 2] {
+            let config = RuntimeConfig::default()
+                .with_workers(workers)
+                .with_batch_size(3)
+                .with_cache_capacity(0)
+                .with_options(QueryOptions::top(4));
+            let runtime = linear_runtime(60, dims, config);
+            assert_eq!(runtime.worker_count(), workers);
 
-        let queries = uniform_queries(20, dims, 32);
-        let handles: Vec<TicketHandle> = queries
+            let queries = uniform_queries(20, dims, 32);
+            let handles: Vec<TicketHandle> = queries
+                .iter()
+                .map(|q| runtime.try_submit(q.clone()).unwrap())
+                .collect();
+            runtime.poll();
+            // Handles resolve in submission order with their own query.
+            for (sequence, (handle, query)) in handles.into_iter().zip(&queries).enumerate() {
+                let completed = handle.wait().expect("runtime dispatch");
+                assert_eq!(completed.ticket.sequence(), sequence as u64);
+                assert_eq!(&completed.query, query);
+                assert_eq!(completed.neighbors, direct.search(query, 4));
+            }
+            let stats = runtime.shutdown();
+            assert_eq!(stats.workers, workers);
+            assert_eq!(stats.queries_submitted, 20);
+            assert_eq!(stats.queries_served, 20);
+            assert_eq!(stats.failed_queries + stats.deadline_expired, 0);
+        }
+    }
+
+    #[test]
+    fn zero_worker_poll_forms_deterministic_batches() {
+        let runtime = linear_runtime(
+            50,
+            16,
+            RuntimeConfig::default()
+                .with_workers(0)
+                .with_batch_size(4)
+                .with_cache_capacity(0)
+                .with_options(QueryOptions::top(3)),
+        );
+        let handles: Vec<TicketHandle> = uniform_queries(10, 16, 12)
+            .into_iter()
+            .map(|q| runtime.try_submit(q).unwrap())
+            .collect();
+        // Nothing dispatches until the caller polls.
+        assert_eq!(runtime.pending(), 10);
+        assert!(handles.iter().all(|h| h.try_wait().is_none()));
+        runtime.poll();
+        assert_eq!(runtime.pending(), 0);
+        assert!(handles.iter().all(|h| h.try_wait().is_some()));
+        // 10 submissions at batch size 4: 4, 4, 2.
+        let stats = runtime.stats();
+        assert_eq!(stats.batches_dispatched, 3);
+        assert_eq!(stats.full_batches, 2);
+        assert!((stats.batch_fill_ratio().unwrap() - 10.0 / 12.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn configured_options_reach_the_backend() {
+        // A distance bound set on the runtime configuration must reach the
+        // backend, not be silently replaced by a bare top-k; and a k beyond
+        // the corpus serves the whole corpus.
+        let dims = 16;
+        let direct = LinearScan::new(uniform_dataset(36, dims, 31));
+        let bound = 5u32;
+        for options in [QueryOptions::top(36).within(bound), QueryOptions::top(50)] {
+            let runtime = linear_runtime(
+                36,
+                dims,
+                RuntimeConfig::default()
+                    .with_workers(0)
+                    .with_batch_size(2)
+                    .with_cache_capacity(0)
+                    .with_options(options),
+            );
+            let queries = uniform_queries(6, dims, 18);
+            let handles: Vec<TicketHandle> = queries
+                .iter()
+                .map(|q| runtime.try_submit(q.clone()).unwrap())
+                .collect();
+            runtime.poll();
+            for (handle, query) in handles.into_iter().zip(&queries) {
+                let mut expected = direct.search(query, 36);
+                if options.within.is_some() {
+                    expected.retain(|n| n.distance < bound);
+                }
+                assert_eq!(handle.wait().unwrap().neighbors, expected);
+            }
+        }
+    }
+
+    /// A backend whose execution can be switched to fail, for exercising the
+    /// dispatch-error path.
+    struct FlakyBackend {
+        inner: LinearScan,
+        fail: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl SimilarityBackend for FlakyBackend {
+        fn name(&self) -> String {
+            "flaky".to_string()
+        }
+        fn len(&self) -> usize {
+            SearchIndex::len(&self.inner)
+        }
+        fn dims(&self) -> usize {
+            SearchIndex::dims(&self.inner)
+        }
+        fn serve_batch(&self, queries: &[BinaryVector], k: usize) -> crate::BackendBatch {
+            crate::BackendBatch::host_only(SearchIndex::search_batch(&self.inner, queries, k))
+        }
+        fn try_serve_batch(
+            &self,
+            queries: &[BinaryVector],
+            options: &QueryOptions,
+        ) -> Result<crate::BackendBatch, SearchError> {
+            if self.fail.load(Ordering::SeqCst) {
+                return Err(SearchError::Backend {
+                    backend: self.name(),
+                    reason: "injected failure".to_string(),
+                });
+            }
+            options.validate()?;
+            Ok(self.serve_batch(queries, options.k))
+        }
+    }
+
+    #[test]
+    fn failed_batches_fail_their_tickets_and_block_nothing() {
+        // The poison-batch regression: a batch whose dispatch fails must
+        // complete with per-ticket errors — never be re-queued, where it
+        // would be retried (and fail) forever. Even when every dispatch
+        // fails, the poll terminates.
+        let dims = 16;
+        let data = uniform_dataset(30, dims, 11);
+        let direct = LinearScan::new(data.clone());
+        let fail = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let backend = FlakyBackend {
+            inner: LinearScan::new(data),
+            fail: Arc::clone(&fail),
+        };
+        let runtime = ServiceRuntime::try_shared(
+            RuntimeConfig::default()
+                .with_workers(0)
+                .with_batch_size(3)
+                .with_cache_capacity(0)
+                .with_options(QueryOptions::top(3)),
+            Arc::new(backend),
+        )
+        .unwrap();
+
+        let queries = uniform_queries(10, dims, 12);
+        let poisoned: Vec<TicketHandle> = queries[..8]
             .iter()
             .map(|q| runtime.try_submit(q.clone()).unwrap())
             .collect();
-        for (handle, query) in handles.into_iter().zip(&queries) {
-            let completed = handle.wait().expect("runtime dispatch");
-            assert_eq!(&completed.query, query);
-            assert_eq!(completed.neighbors, direct.search(query, 4));
+        runtime.poll();
+        assert_eq!(runtime.pending(), 0, "every batch was dispatched once");
+        for (sequence, handle) in poisoned.into_iter().enumerate() {
+            let failed = handle.wait().unwrap_err();
+            assert_eq!(failed.ticket.sequence(), sequence as u64);
+            assert!(matches!(failed.error, SearchError::Backend { .. }));
         }
+
+        // Later traffic is served once the backend recovers — nothing is
+        // stuck in front of it.
+        fail.store(false, Ordering::SeqCst);
+        let served: Vec<TicketHandle> = queries[8..]
+            .iter()
+            .map(|q| runtime.try_submit(q.clone()).unwrap())
+            .collect();
+        runtime.poll();
+        for (handle, query) in served.into_iter().zip(&queries[8..]) {
+            assert_eq!(handle.wait().unwrap().neighbors, direct.search(query, 3));
+        }
+
         let stats = runtime.shutdown();
-        assert_eq!(stats.queries_submitted, 20);
-        assert_eq!(stats.queries_served, 20);
-        assert_eq!(stats.failed_queries + stats.deadline_expired, 0);
+        assert_eq!(stats.failed_batches, 3);
+        assert_eq!(stats.failed_queries, 8);
+        assert_eq!(stats.batches_dispatched, 1);
+        assert_eq!(stats.queries_served, 2);
+        assert!(
+            stats.failed_time > Duration::ZERO,
+            "failed dispatch time is tracked separately"
+        );
     }
 
     #[test]
@@ -1135,6 +1268,10 @@ mod tests {
             SearchError::ZeroDims
         );
         assert_eq!(runtime.stats().queries_submitted, 0);
+        assert_eq!(runtime.pending(), 0, "poison queries never enter the queue");
+        // The rejections leave the runtime fully live.
+        let served = runtime.try_submit(BinaryVector::zeros(16)).unwrap();
+        assert!(served.wait().is_ok());
     }
 
     #[test]
@@ -1175,36 +1312,33 @@ mod tests {
 
     #[test]
     fn shutdown_drains_pending_queries() {
+        // With no worker to drain them, shutdown runs what is left inline:
+        // every admitted ticket resolves exactly once in both modes.
         let dims = 16;
-        let runtime = linear_runtime(
-            40,
-            dims,
-            RuntimeConfig::default()
-                .with_workers(1)
-                .with_batch_size(4)
-                .with_cache_capacity(0),
-        );
-        let queries = uniform_queries(11, dims, 37);
-        let handles: Vec<TicketHandle> = queries
-            .iter()
-            .map(|q| runtime.try_submit(q.clone()).unwrap())
-            .collect();
-        let stats = runtime.shutdown();
-        for handle in handles {
-            assert!(handle.wait().is_ok(), "drained ticket must resolve Ok");
+        for workers in [0, 1] {
+            let runtime = linear_runtime(
+                40,
+                dims,
+                RuntimeConfig::default()
+                    .with_workers(workers)
+                    .with_batch_size(4)
+                    .with_cache_capacity(0),
+            );
+            let queries = uniform_queries(11, dims, 37);
+            let handles: Vec<TicketHandle> = queries
+                .iter()
+                .map(|q| runtime.try_submit(q.clone()).unwrap())
+                .collect();
+            let stats = runtime.shutdown();
+            for handle in handles {
+                assert!(handle.wait().is_ok(), "drained ticket must resolve Ok");
+            }
+            assert_eq!(stats.queries_served, 11);
         }
-        assert_eq!(stats.queries_served, 11);
     }
 
     #[test]
     fn config_validation_rejects_bad_values() {
-        assert!(matches!(
-            RuntimeConfig::default().with_workers(0).build(),
-            Err(SearchError::InvalidConfig {
-                field: "workers",
-                ..
-            })
-        ));
         assert!(matches!(
             RuntimeConfig::default().with_queue_capacity(0).build(),
             Err(SearchError::InvalidConfig {
@@ -1226,7 +1360,24 @@ mod tests {
                 .unwrap_err(),
             SearchError::ZeroK
         );
+        assert_eq!(
+            RuntimeConfig::default()
+                .with_options(QueryOptions::top(3).within(0))
+                .build()
+                .unwrap_err(),
+            SearchError::ZeroDistanceBound
+        );
+        assert!(matches!(
+            RuntimeConfig::default()
+                .with_cache_capacity(MAX_CACHE_CAPACITY + 1)
+                .build(),
+            Err(SearchError::InvalidConfig {
+                field: "cache_capacity",
+                ..
+            })
+        ));
         assert!(RuntimeConfig::default().build().is_ok());
+        assert!(RuntimeConfig::default().with_workers(0).build().is_ok());
     }
 
     #[test]
@@ -1279,23 +1430,24 @@ mod tests {
         // rather than read as pending. Gate the backend so the ticket cannot
         // be delivered before the drop.
         let dims = 16;
-        let data = uniform_dataset(10, dims, 52);
-        let runtime = ServiceRuntime::try_new(
-            RuntimeConfig::default()
-                .with_workers(1)
-                .with_batch_size(1)
-                .with_cache_capacity(0)
-                .with_options(QueryOptions::top(2)),
-            move |_| Ok(Box::new(LinearScan::new(data.clone())) as Box<dyn SimilarityBackend>),
-        )
-        .unwrap();
-        let query = uniform_queries(1, dims, 53).pop().unwrap();
-        let handle = runtime.try_submit(query).unwrap();
-        let (tx, rx) = mpsc::channel();
-        handle.on_complete(move || tx.send(()).unwrap());
-        drop(runtime); // shutdown drains: the ticket is delivered, waker fires
-        rx.recv_timeout(Duration::from_secs(30)).expect("waker");
-        assert!(handle.try_wait().is_some(), "woken handle must resolve");
+        for workers in [0, 1] {
+            let runtime = linear_runtime(
+                10,
+                dims,
+                RuntimeConfig::default()
+                    .with_workers(workers)
+                    .with_batch_size(1)
+                    .with_cache_capacity(0)
+                    .with_options(QueryOptions::top(2)),
+            );
+            let query = uniform_queries(1, dims, 53).pop().unwrap();
+            let handle = runtime.try_submit(query).unwrap();
+            let (tx, rx) = mpsc::channel();
+            handle.on_complete(move || tx.send(()).unwrap());
+            drop(runtime); // shutdown drains: the ticket is delivered, waker fires
+            rx.recv_timeout(Duration::from_secs(30)).expect("waker");
+            assert!(handle.try_wait().is_some(), "woken handle must resolve");
+        }
     }
 
     fn live_runtime(n: usize, dims: usize, config: RuntimeConfig) -> ServiceRuntime {
@@ -1381,51 +1533,214 @@ mod tests {
     fn cache_serves_fresh_results_after_a_mutation() {
         // The regression: a cached result must not outlive the corpus epoch
         // that produced it. Query, mutate, re-query — the second answer must
-        // see the mutation even though the first was cached.
+        // see the mutation even though the first was cached. A caller-driven
+        // runtime brackets and flushes exactly like a worker thread does.
         let dims = 16;
-        let runtime = live_runtime(
-            20,
-            dims,
-            RuntimeConfig::default()
-                .with_workers(1)
-                .with_batch_size(1)
-                .with_cache_capacity(64)
-                .with_options(QueryOptions::top(2)),
-        );
-        let query = uniform_queries(1, dims, 63).pop().unwrap();
-        let before = runtime.try_submit(query.clone()).unwrap().wait().unwrap();
-        assert_ne!(before.neighbors[0].distance, 0, "query not in base corpus");
+        for workers in [0, 1] {
+            let runtime = live_runtime(
+                20,
+                dims,
+                RuntimeConfig::default()
+                    .with_workers(workers)
+                    .with_batch_size(1)
+                    .with_cache_capacity(64)
+                    .with_options(QueryOptions::top(2)),
+            );
+            let resolve = |handle: TicketHandle| {
+                runtime.poll();
+                handle.wait().unwrap()
+            };
+            let query = uniform_queries(1, dims, 63).pop().unwrap();
+            let before = resolve(runtime.try_submit(query.clone()).unwrap());
+            assert_ne!(before.neighbors[0].distance, 0, "query not in base corpus");
 
-        // Insert the query itself: an exact match at distance 0 with id 20.
-        // By MutAck delivery the cache is already flushed.
-        let ack = runtime
-            .try_submit_mutation(
-                binvec::Mutation::Insert {
-                    vector: query.clone(),
-                },
-                &QueryOptions::top(2),
+            // Insert the query itself: an exact match at distance 0 with id
+            // 20. By MutAck delivery the cache is already flushed.
+            let insert = binvec::Mutation::Insert {
+                vector: query.clone(),
+            };
+            let ack = resolve(
+                runtime
+                    .try_submit_mutation(insert, &QueryOptions::top(2))
+                    .unwrap(),
             )
-            .unwrap()
-            .wait()
-            .unwrap()
             .mutation
             .unwrap();
-        assert_eq!(ack.id, 20);
+            assert_eq!(ack.id, 20);
 
-        let after = runtime.try_submit(query.clone()).unwrap().wait().unwrap();
-        assert_eq!(after.neighbors[0].id, 20, "fresh result, not the stale hit");
-        assert_eq!(after.neighbors[0].distance, 0);
+            let after = resolve(runtime.try_submit(query.clone()).unwrap());
+            assert_eq!(after.neighbors[0].id, 20, "fresh result, not the stale hit");
+            assert_eq!(after.neighbors[0].distance, 0);
 
-        // The post-mutation result is cached at the new generation: a third
-        // submission is a pure cache hit.
-        let hit = runtime.try_submit(query).unwrap().wait().unwrap();
-        assert_eq!(hit.neighbors, after.neighbors);
-        let stats = runtime.shutdown();
-        assert_eq!(stats.cache_hits, 1);
-        assert_eq!(
-            stats.batches_dispatched, 2,
-            "two query dispatches; mutations are applied, not dispatched"
-        );
+            // The post-mutation result is cached at the new generation: a
+            // third submission is a pure cache hit.
+            let hit = runtime.try_submit(query).unwrap().wait().unwrap();
+            assert_eq!(hit.neighbors, after.neighbors);
+            let stats = runtime.shutdown();
+            assert_eq!(stats.cache_hits, 1);
+            assert_eq!(
+                stats.batches_dispatched, 2,
+                "two query dispatches; mutations are applied, not dispatched"
+            );
+        }
+    }
+
+    /// A live backend whose first dispatch announces itself and then holds
+    /// until released, so a test can queue a whole load behind it.
+    struct HeldFirstDispatch {
+        inner: crate::live::LiveBackend,
+        entered: Mutex<Option<mpsc::Sender<()>>>,
+        release: Mutex<Option<mpsc::Receiver<()>>>,
+    }
+
+    impl SimilarityBackend for HeldFirstDispatch {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn dims(&self) -> usize {
+            self.inner.dims()
+        }
+        fn serve_batch(&self, queries: &[BinaryVector], k: usize) -> crate::BackendBatch {
+            self.inner.serve_batch(queries, k)
+        }
+        fn try_serve_batch(
+            &self,
+            queries: &[BinaryVector],
+            options: &QueryOptions,
+        ) -> Result<crate::BackendBatch, SearchError> {
+            if let Some(entered) = self.entered.lock().unwrap().take() {
+                entered.send(()).unwrap();
+                let release = self.release.lock().unwrap().take().unwrap();
+                release.recv().unwrap();
+            }
+            self.inner.try_serve_batch(queries, options)
+        }
+        fn apply_mutations(&self, mutations: &[&Mutation]) -> Vec<Result<MutAck, SearchError>> {
+            self.inner.apply_mutations(mutations)
+        }
+        fn live_status(&self) -> Option<ap_knn::live::LiveStatus> {
+            self.inner.live_status()
+        }
+    }
+
+    #[test]
+    fn caller_driven_and_threaded_runtimes_serve_a_load_identically() {
+        // The same seeded load — mixed ResultKeys, priorities, one mutation —
+        // through `workers: 0` + poll and through one worker thread. The
+        // thread's first pop is held inside the backend until the whole load
+        // is queued, so both modes form their batches from the same queue.
+        let dims = 16;
+        let serve = |workers: usize| {
+            let (entered_tx, entered_rx) = mpsc::channel();
+            let (release_tx, release_rx) = mpsc::channel();
+            let backend = HeldFirstDispatch {
+                inner: crate::live::LiveBackend::try_new(
+                    ApKnnEngine::new(KnnDesign::new(dims)),
+                    &uniform_dataset(40, dims, 71),
+                    ap_knn::live::LiveConfig::default(),
+                )
+                .unwrap(),
+                entered: Mutex::new(Some(entered_tx)),
+                release: Mutex::new(Some(release_rx)),
+            };
+            let runtime = ServiceRuntime::try_shared(
+                RuntimeConfig::default()
+                    .with_workers(workers)
+                    .with_batch_size(4)
+                    .with_options(QueryOptions::top(3)),
+                Arc::new(backend),
+            )
+            .unwrap();
+
+            // The plug: dispatched alone in both modes.
+            let mut load = uniform_queries(25, dims, 72);
+            let mut handles = vec![runtime.try_submit(load.pop().unwrap()).unwrap()];
+            if workers == 0 {
+                release_tx.send(()).unwrap();
+                runtime.poll();
+            }
+            entered_rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("the plug reaches the backend");
+
+            let keys = [
+                QueryOptions::top(3),
+                QueryOptions::top(5),
+                QueryOptions::top(5).within(6),
+            ];
+            let priorities = [
+                binvec::Priority::Normal,
+                binvec::Priority::High,
+                binvec::Priority::Low,
+                binvec::Priority::Normal,
+            ];
+            for (i, query) in load.into_iter().enumerate() {
+                let options = keys[i % keys.len()].prioritized(priorities[i % priorities.len()]);
+                if i == 9 {
+                    // Scheduled just ahead of its own query, which must then
+                    // find it at distance 0 as id 40.
+                    let insert = Mutation::Insert {
+                        vector: query.clone(),
+                    };
+                    handles.push(runtime.try_submit_mutation(insert, &options).unwrap());
+                }
+                handles.push(runtime.try_submit_with(query, &options).unwrap());
+            }
+            if workers > 0 {
+                release_tx.send(()).unwrap();
+            }
+            runtime.poll();
+            let completed: Vec<Completed> = handles
+                .into_iter()
+                .map(|handle| handle.wait().expect("every ticket is served"))
+                .collect();
+            (completed, runtime.shutdown())
+        };
+
+        let (polled, polled_stats) = serve(0);
+        let (threaded, threaded_stats) = serve(1);
+        let view = |completed: &[Completed]| -> Vec<_> {
+            completed
+                .iter()
+                .map(|c| (c.ticket, c.query.clone(), c.neighbors.clone(), c.mutation))
+                .collect()
+        };
+        assert_eq!(view(&polled), view(&threaded));
+        assert!(polled.iter().any(|c| c.mutation.is_some()));
+        let nearest_is_the_insert = |c: &Completed| {
+            c.neighbors
+                .first()
+                .is_some_and(|n| (n.id, n.distance) == (40, 0))
+        };
+        assert!(polled.iter().any(nearest_is_the_insert));
+        let counters = |s: &ServiceStats| {
+            [
+                s.queries_submitted,
+                s.queries_served,
+                s.cache_hits,
+                s.cache_misses,
+                s.batches_dispatched,
+                s.batched_queries,
+                s.full_batches,
+                s.failed_batches,
+                s.failed_queries,
+                s.deadline_expired,
+                s.queue_full_rejections,
+                s.mutations_submitted,
+                s.mutations_applied,
+                s.mutations_failed,
+                s.generation,
+                s.delta_vectors,
+                s.tombstones,
+                s.ap_symbol_cycles,
+                s.reconfigurations,
+            ]
+        };
+        assert_eq!(counters(&polled_stats), counters(&threaded_stats));
+        assert_eq!((polled_stats.workers, threaded_stats.workers), (0, 1));
     }
 
     #[test]

@@ -312,12 +312,13 @@ mod tests {
         let data = uniform_dataset(60, dims, 9);
         let queries = uniform_queries(5, dims, 10);
         let sharding = ShardedDataset::split(&data, 3);
-        let sharded = ShardedBackend::build(&sharding, |_, shard| {
-            crate::ApEngineBackend::new(
+        let sharded = ShardedBackend::try_build(&sharding, |_, shard| {
+            crate::ApEngineBackend::try_new(
                 ApKnnEngine::new(KnnDesign::new(dims)).with_mode(ExecutionMode::Behavioral),
                 shard.clone(),
             )
-        });
+        })
+        .unwrap();
         let expected = LinearScan::new(data).search_batch(&queries, 4);
         let got = sharded.serve_batch(&queries, 4);
         assert_eq!(got.results, expected);
@@ -340,17 +341,19 @@ mod tests {
         let data = uniform_dataset(48, dims, 31);
         let queries = uniform_queries(6, dims, 32);
 
-        let unsharded = crate::JaccardBackend::new(
+        let unsharded = crate::JaccardBackend::try_new(
             ap_knn::JaccardSearcher::new(KnnDesign::new(dims)),
             data.clone(),
-        );
+        )
+        .unwrap();
         let sharding = ShardedDataset::split(&data, 3);
-        let sharded = ShardedBackend::build(&sharding, |_, shard| {
-            crate::JaccardBackend::new(
+        let sharded = ShardedBackend::try_build(&sharding, |_, shard| {
+            crate::JaccardBackend::try_new(
                 ap_knn::JaccardSearcher::new(KnnDesign::new(dims)),
                 shard.clone(),
             )
-        });
+        })
+        .unwrap();
 
         let single = unsharded.serve_batch(&queries, k);
         let fanned = sharded.serve_batch(&queries, k);

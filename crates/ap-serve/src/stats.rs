@@ -96,8 +96,7 @@ impl LatencyHistogram {
     }
 }
 
-/// Cumulative statistics for one [`crate::SearchService`] or
-/// [`crate::ServiceRuntime`].
+/// Cumulative statistics for one [`crate::ServiceRuntime`].
 ///
 /// Conservation invariant: every admitted query (one minted ticket) resolves
 /// exactly once, so after all tickets complete
@@ -107,7 +106,7 @@ pub struct ServiceStats {
     /// The service's configured batch size (recorded into the snapshot so the
     /// fill ratio can't be computed against the wrong denominator).
     pub batch_size: usize,
-    /// Worker threads serving dispatches (1 for the synchronous service).
+    /// Worker threads serving dispatches (0 when the caller drives `poll`).
     pub workers: usize,
     /// Queries accepted by `submit` (a ticket was minted).
     pub queries_submitted: u64,

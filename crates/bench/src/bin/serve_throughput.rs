@@ -1,8 +1,10 @@
 //! Serving-layer throughput sweep: batch size × shard count.
 //!
-//! Drives the cycle-accurate AP engine through `ap_serve::SearchService` and
-//! measures served queries per second of backend busy time. Two effects are
-//! visible, both predicted by the paper's cost model:
+//! Drives the cycle-accurate AP engine through a zero-worker
+//! `ap_serve::ServiceRuntime` (submit everything, then `poll()` on this
+//! thread, so batches form deterministically) and measures served queries per
+//! second of backend busy time. Two effects are visible, both predicted by the
+//! paper's cost model:
 //!
 //! * **Admission batching** (§V, §VI-B): a board image is compiled and loaded
 //!   once per dispatched batch, so a batch of seven (the symbol-stream
@@ -13,9 +15,12 @@
 //! Usage: `serve_throughput [--json]`
 
 use ap_knn::{ApKnnEngine, KnnDesign};
-use ap_serve::{ApEngineBackend, SearchService, ServiceConfig, ShardedBackend, ShardedDataset};
+use ap_serve::{
+    ApEngineBackend, RuntimeConfig, ServiceRuntime, ShardedBackend, ShardedDataset, TicketHandle,
+};
 use bench::{maybe_emit_json, ExperimentRecord};
 use binvec::BinaryVector;
+use binvec::QueryOptions;
 
 const DIMS: usize = 32;
 const CORPUS: usize = 192;
@@ -29,22 +34,33 @@ fn run_sweep(
     batch_size: usize,
 ) -> (f64, f64, u64) {
     let sharding = ShardedDataset::split(data, shards);
-    let backend = ShardedBackend::build(&sharding, |_, shard| {
-        ApEngineBackend::new(ApKnnEngine::new(KnnDesign::new(DIMS)), shard.clone())
-    });
-    // Cache off: this sweep isolates batching and sharding.
-    let config = ServiceConfig::default()
+    let backend = ShardedBackend::try_build(&sharding, |_, shard| {
+        ApEngineBackend::try_new(ApKnnEngine::new(KnnDesign::new(DIMS)), shard.clone())
+    })
+    .expect("corpus matches the design");
+    // Cache off: this sweep isolates batching and sharding. The queue holds
+    // the whole sweep, so no submission is refused before the poll.
+    let config = RuntimeConfig::default()
+        .with_workers(0)
+        .with_queue_capacity(queries.len())
         .with_batch_size(batch_size)
-        .with_k(K)
+        .with_options(QueryOptions::top(K))
         .with_cache_capacity(0);
-    let mut service =
-        SearchService::try_new(Box::new(backend), config).expect("valid sweep config");
-    for q in queries {
-        service.submit(q.clone());
+    let runtime = ServiceRuntime::try_shared(config, std::sync::Arc::new(backend))
+        .expect("valid sweep config");
+    let handles: Vec<TicketHandle> = queries
+        .iter()
+        .map(|q| {
+            runtime
+                .try_submit(q.clone())
+                .expect("queue holds the sweep")
+        })
+        .collect();
+    runtime.poll();
+    for handle in handles {
+        handle.wait().expect("every query is served");
     }
-    let completed = service.drain();
-    assert_eq!(completed.len(), queries.len());
-    let stats = service.stats();
+    let stats = runtime.stats();
     (
         stats.busy_throughput_qps(),
         stats.batch_fill_ratio().unwrap_or(0.0),

@@ -1,15 +1,16 @@
 //! End-to-end tour of the `ap-serve` serving subsystem.
 //!
 //! Part 1 builds a corpus, shards it across four simulated AP boards, stands
-//! up a synchronous `SearchService` with admission batching and a result
-//! cache, pushes 1 000 single-query submissions through it (with a skewed
+//! up a zero-worker `ServiceRuntime` (admission batching and a result cache,
+//! driven from this thread with `poll()`, so the run is deterministic),
+//! pushes 1 000 single-query submissions through it in waves (with a skewed
 //! re-query pattern, as production traffic would have), verifies a sample
 //! against the exact scan, and prints the `ServiceStats` report.
 //!
-//! Part 2 stands up the concurrent `ServiceRuntime` — worker-owned prepared
-//! engines fed by a bounded deadline/priority-aware queue — drives it from
-//! four producer threads, demonstrates deadline shedding, and prints its
-//! report.
+//! Part 2 gives the same `ServiceRuntime` four worker threads — worker-owned
+//! prepared engines fed by the bounded deadline/priority-aware queue —
+//! drives it from four producer threads, demonstrates deadline shedding, and
+//! prints its report.
 //!
 //! Run with: `cargo run --release --example serving`
 
@@ -39,24 +40,33 @@ fn main() {
     }
 
     // 2+3. One AP engine per shard behind the uniform pipeline builder, handed
-    //      to the batching service front door: batches of 7 (the §VI-B
-    //      multiplex width), LRU cache. Both builders validate up front and
-    //      return typed SearchErrors instead of panicking at dispatch time.
-    let config = ServiceConfig::default().with_k(k).with_cache_capacity(512);
-    let mut service = SearchPipeline::over(data.clone())
+    //      to the batching runtime front door: batches of 7 (the §VI-B
+    //      multiplex width), LRU cache, no worker thread — this thread polls.
+    //      Both builders validate up front and return typed SearchErrors
+    //      instead of panicking at dispatch time.
+    let wave = 100;
+    let config = RuntimeConfig::default()
+        .with_workers(0)
+        .with_queue_capacity(wave)
+        .with_options(QueryOptions::top(k))
+        .with_cache_capacity(512);
+    let service = SearchPipeline::over(data.clone())
         .backend(BackendSpec::behavioral())
         .sharded(shards)
         .build()
         .expect("valid pipeline configuration")
-        .into_service(config)
-        .expect("valid service configuration");
+        .into_runtime(config)
+        .expect("valid runtime configuration");
     println!("backend: {}", service.backend_name());
 
     // 4. Traffic: fresh queries mixed with re-queries of a small hot set, the
-    //    skew a production similarity service sees.
+    //    skew a production similarity service sees. A wave fills the bounded
+    //    queue, one poll serves it; the next wave's re-queries then hit the
+    //    cache at admission.
     let fresh = binvec::generate::uniform_queries(total_queries, dims, 43);
     let hot: Vec<BinaryVector> = fresh[..20].to_vec();
-    let mut submitted = Vec::with_capacity(total_queries);
+    let mut completed = Vec::with_capacity(total_queries);
+    let mut handles = Vec::with_capacity(wave);
     for (i, q) in fresh.into_iter().enumerate() {
         // Every third submission re-asks a hot query.
         let query = if i % 3 == 2 {
@@ -64,10 +74,12 @@ fn main() {
         } else {
             q
         };
-        submitted.push(query.clone());
-        service.submit(query);
+        handles.push(service.try_submit(query).expect("the wave fits the queue"));
+        if handles.len() == wave {
+            service.poll();
+            completed.extend(handles.drain(..).map(|h| h.wait().expect("served")));
+        }
     }
-    let completed = service.drain();
     assert_eq!(completed.len(), total_queries);
 
     // 5. Spot-check against the exact scan.

@@ -100,7 +100,7 @@ fn parse_args() -> Result<Args, String> {
                 println!(
                     "ap-server: TCP front door for the AP similarity-search service\n\n\
                      \t--addr HOST:PORT   listen address (default 127.0.0.1:7001; port 0 = ephemeral)\n\
-                     \t--workers N        runtime worker threads (default 4)\n\
+                     \t--workers N        runtime worker threads, at least 1 (default 4)\n\
                      \t--vectors N        corpus size (default 4096)\n\
                      \t--dims N           vector width in bits (default 64)\n\
                      \t--seed N           corpus RNG seed (default 42)\n\

@@ -73,7 +73,7 @@
 //! | `LinearScan::new(data).search_batch(..)` (any [`baselines::SearchIndex`]) | `.backend(BackendSpec::Baseline(BaselineKind::...))` |
 //! | `ShardedBackend::build(&ShardedDataset::split(&data, n), ...)` | `.sharded(n)` |
 //! | `ResultCache::new(cap)` wired by hand | `.cached(cap)` |
-//! | `SearchService::new(backend, config)` (panicking) | `SearchService::try_new(backend, config.build()?)?` or `pipeline.into_service(config)?` |
+//! | the synchronous `submit` / `drain` service front end (removed) | `pipeline.into_runtime(RuntimeConfig::default().with_workers(0))?`, `try_submit`, `poll()`, `handle.wait()` |
 //!
 //! The deprecated panicking `ApKnnEngine::search_batch` wrapper has been
 //! removed; every call site reports typed [`binvec::SearchError`]s instead.
@@ -105,8 +105,8 @@ pub mod prelude {
         ApClient, ApEngineBackend, ApSchedulerBackend, ApServer, BackendRegistry, BackendSpec,
         BaselineKind, CompletionSet, FailedQuery, Frame, FrameBuffer, IndexKind, LiveBackend,
         Metric, NetError, Provenance, Response, RetryPolicy, RuntimeConfig, SearchPipeline,
-        SearchService, ServiceConfig, ServiceRuntime, ServiceStats, ShardedBackend, ShardedDataset,
-        SimilarityBackend, StatsFrame, TicketHandle, TicketResult,
+        ServiceRuntime, ServiceStats, ShardedBackend, ShardedDataset, SimilarityBackend,
+        StatsFrame, TicketHandle, TicketResult,
     };
     pub use ap_sim::{
         ApGeneration, AutomataNetwork, CompiledPcre, DeviceConfig, PcreSet, Simulator, TimingModel,

@@ -474,3 +474,18 @@ fn stats_frame_over_the_wire_matches_the_runtime_view() {
         .unwrap_or_else(|_| panic!("server released its runtime handle"))
         .shutdown();
 }
+
+#[test]
+fn binding_a_zero_worker_runtime_is_refused_not_left_to_hang() {
+    // Nobody would call poll() for the server: every client would wait
+    // forever, so the bind is refused up front with a typed error.
+    let runtime = linear_runtime(16, 20, 0, 64);
+    let error = ApServer::bind("127.0.0.1:0", Arc::clone(&runtime))
+        .err()
+        .expect("a zero-worker runtime cannot be served over the network");
+    assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+    // The runtime itself is untouched and still serves its caller.
+    let handle = runtime.try_submit(BinaryVector::zeros(16)).expect("submit");
+    runtime.poll();
+    assert_eq!(handle.wait().expect("served inline").neighbors.len(), 5);
+}

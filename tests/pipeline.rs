@@ -247,18 +247,23 @@ fn error_paths_surface_as_typed_search_errors() {
     // Zero-dim design.
     let err = SearchPipeline::over(BinaryDataset::new(0)).build().err();
     assert_eq!(err, Some(SearchError::ZeroDims));
-    // The validated service config rejects the same classes at construction.
+    // The validated runtime config rejects the same classes at construction;
+    // zero workers is valid (the caller drives `poll`).
     assert_eq!(
-        ServiceConfig::default().with_k(0).build().unwrap_err(),
+        RuntimeConfig::default()
+            .with_options(QueryOptions::top(0))
+            .build()
+            .unwrap_err(),
         SearchError::ZeroK
     );
     assert!(matches!(
-        ServiceConfig::default().with_batch_size(0).build(),
+        RuntimeConfig::default().with_batch_size(0).build(),
         Err(SearchError::InvalidConfig {
             field: "batch_size",
             ..
         })
     ));
+    assert!(RuntimeConfig::default().with_workers(0).build().is_ok());
 }
 
 proptest! {

@@ -256,21 +256,22 @@ fn serving_layer_reuses_one_prepared_engine_across_dispatches() {
     )
     .unwrap();
     assert!(!backend.prepared().is_compiled());
-    let config = ServiceConfig::default()
+    let config = RuntimeConfig::default()
+        .with_workers(0)
         .with_batch_size(3)
-        .with_k(k)
+        .with_options(QueryOptions::top(k))
         .with_cache_capacity(0);
-    let mut service = SearchService::try_new(Box::new(backend), config).unwrap();
+    let runtime = ServiceRuntime::try_shared(config, std::sync::Arc::new(backend)).unwrap();
     let queries = binvec::generate::uniform_queries(12, dims, 84);
-    for q in &queries {
-        service.submit(q.clone());
+    let handles: Vec<TicketHandle> = queries
+        .iter()
+        .map(|q| runtime.try_submit(q.clone()).unwrap())
+        .collect();
+    runtime.poll();
+    for (handle, q) in handles.into_iter().zip(&queries) {
+        assert_eq!(handle.wait().unwrap().neighbors, ground_truth.search(q, k));
     }
-    let completed = service.drain();
-    assert_eq!(completed.len(), queries.len());
-    for (c, q) in completed.iter().zip(&queries) {
-        assert_eq!(c.neighbors, ground_truth.search(q, k));
-    }
-    assert_eq!(service.stats().batches_dispatched, 4);
+    assert_eq!(runtime.stats().batches_dispatched, 4);
 }
 
 #[test]

@@ -3,11 +3,9 @@
 
 use ap_similarity::prelude::*;
 
-fn build_sharded_ap_service(
-    data: &BinaryDataset,
-    shards: usize,
-    config: ServiceConfig,
-) -> SearchService {
+/// A caller-driven (zero-worker) runtime over a sharded behavioral AP backend
+/// returning `k` neighbors per query.
+fn build_sharded_ap_service(data: &BinaryDataset, shards: usize, k: usize) -> ServiceRuntime {
     let dims = data.dims();
     let sharding = ShardedDataset::split(data, shards);
     let backend = ShardedBackend::try_build(&sharding, |_, shard| {
@@ -17,7 +15,28 @@ fn build_sharded_ap_service(
         )
     })
     .unwrap();
-    SearchService::try_new(Box::new(backend), config).unwrap()
+    serve(backend, k)
+}
+
+fn serve(backend: impl SimilarityBackend + 'static, k: usize) -> ServiceRuntime {
+    let config = RuntimeConfig::default()
+        .with_workers(0)
+        .with_options(QueryOptions::top(k));
+    ServiceRuntime::try_shared(config, std::sync::Arc::new(backend)).unwrap()
+}
+
+/// Submits every query, polls the runtime dry, and returns the results in
+/// submission order.
+fn submit_and_drain(service: &ServiceRuntime, queries: &[BinaryVector]) -> Vec<Vec<Neighbor>> {
+    let handles: Vec<TicketHandle> = queries
+        .iter()
+        .map(|q| service.try_submit(q.clone()).unwrap())
+        .collect();
+    service.poll();
+    handles
+        .into_iter()
+        .map(|handle| handle.wait().unwrap().neighbors)
+        .collect()
 }
 
 #[test]
@@ -28,16 +47,14 @@ fn sharded_service_matches_linear_scan_on_1k_corpus() {
     let queries = binvec::generate::uniform_queries(64, dims, 102);
     let ground_truth = LinearScan::new(data.clone());
 
-    let mut service = build_sharded_ap_service(&data, 4, ServiceConfig::default().with_k(k));
-    let tickets: Vec<_> = queries.iter().map(|q| service.submit(q.clone())).collect();
-    let completed = service.drain();
+    let service = build_sharded_ap_service(&data, 4, k);
+    let completed = submit_and_drain(&service, &queries);
 
     assert_eq!(completed.len(), queries.len());
-    for ((completed, ticket), query) in completed.iter().zip(&tickets).zip(&queries) {
-        assert_eq!(completed.ticket, *ticket);
+    for (neighbors, query) in completed.iter().zip(&queries) {
         assert_eq!(
-            completed.neighbors,
-            ground_truth.search(query, k),
+            neighbors,
+            &ground_truth.search(query, k),
             "sharded AP service must equal the exact scan"
         );
     }
@@ -61,13 +78,8 @@ fn shard_count_does_not_change_results() {
 
     let mut reference: Option<Vec<Vec<Neighbor>>> = None;
     for shards in [1usize, 2, 4, 8] {
-        let mut service =
-            build_sharded_ap_service(&data, shards, ServiceConfig::default().with_k(k));
-        for q in &queries {
-            service.submit(q.clone());
-        }
-        let results: Vec<Vec<Neighbor>> =
-            service.drain().into_iter().map(|c| c.neighbors).collect();
+        let service = build_sharded_ap_service(&data, shards, k);
+        let results = submit_and_drain(&service, &queries);
         match &reference {
             None => reference = Some(results),
             Some(expected) => assert_eq!(&results, expected, "shards = {shards}"),
@@ -81,17 +93,11 @@ fn cached_replay_serves_without_new_dispatches() {
     let data = binvec::generate::uniform_dataset(300, dims, 105);
     let queries = binvec::generate::uniform_queries(14, dims, 106);
 
-    let mut service = build_sharded_ap_service(&data, 2, ServiceConfig::default().with_k(4));
-    for q in &queries {
-        service.submit(q.clone());
-    }
-    let first = service.drain();
+    let service = build_sharded_ap_service(&data, 2, 4);
+    let first = submit_and_drain(&service, &queries);
     let batches_after_first_wave = service.stats().batches_dispatched;
 
-    for q in &queries {
-        service.submit(q.clone());
-    }
-    let second = service.drain();
+    let second = submit_and_drain(&service, &queries);
 
     let stats = service.stats();
     assert_eq!(
@@ -99,9 +105,7 @@ fn cached_replay_serves_without_new_dispatches() {
         "replayed queries must be served by the cache"
     );
     assert_eq!(stats.cache_hits, queries.len() as u64);
-    for (a, b) in first.iter().zip(&second) {
-        assert_eq!(a.neighbors, b.neighbors);
-    }
+    assert_eq!(first, second);
 }
 
 #[test]
@@ -121,14 +125,10 @@ fn scheduler_backend_behaves_like_sharded_backend() {
             model: ap_knn::capacity::CapacityModel::PaperCalibrated,
         })
         .with_workers(4);
-    let backend = ApSchedulerBackend::new(scheduler, data);
-    let mut service =
-        SearchService::try_new(Box::new(backend), ServiceConfig::default().with_k(k)).unwrap();
-    for q in &queries {
-        service.submit(q.clone());
-    }
-    for (completed, query) in service.drain().iter().zip(&queries) {
-        assert_eq!(completed.neighbors, ground_truth.search(query, k));
+    let backend = ApSchedulerBackend::try_new(scheduler, data).unwrap();
+    let service = serve(backend, k);
+    for (neighbors, query) in submit_and_drain(&service, &queries).iter().zip(&queries) {
+        assert_eq!(neighbors, &ground_truth.search(query, k));
     }
     let stats = service.stats();
     assert_eq!(stats.shard_cycles.len(), 4);
