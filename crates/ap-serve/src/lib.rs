@@ -49,7 +49,7 @@
 //!   [`binvec::QueryOptions`] carrying `k`, the optional §VII distance bound,
 //!   and an execution preference, and every answer returned as a [`Response`]
 //!   with cache/shard provenance.
-//! * [`BackendRegistry`] — named backend factories, so deployments swap
+//! * [`BackendSpec::from_name`] — stable backend names, so deployments swap
 //!   engine families by configuration.
 //!
 //! ## Quickstart
@@ -87,7 +87,6 @@ pub mod live;
 pub mod net;
 pub mod pipeline;
 pub mod queue;
-pub mod registry;
 pub mod runtime;
 pub mod shard;
 pub mod stats;
@@ -110,9 +109,8 @@ pub use pipeline::{
     SearchPipelineBuilder,
 };
 pub use queue::QueryTicket;
-pub use registry::{BackendFactory, BackendRegistry};
 pub use runtime::{
     Completed, FailedQuery, RuntimeConfig, ServiceRuntime, TicketHandle, TicketResult,
 };
 pub use shard::{ShardedBackend, ShardedDataset};
-pub use stats::ServiceStats;
+pub use stats::{MetricEntry, MetricValue, Metrics, ServiceStats};

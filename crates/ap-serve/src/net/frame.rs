@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "APWF"
-//! 4       1     protocol version (currently 3)
+//! 4       1     protocol version (currently 5)
 //! 5       1     frame type tag
 //! 6       2     reserved (must be zero)
 //! 8       4     payload length (u32, little-endian; hard cap 16 MiB)
@@ -20,7 +20,7 @@
 //! refuses hostile declared lengths *before* sizing any allocation, and
 //! returns a typed [`WireError`] instead of panicking.
 
-use crate::stats::ServiceStats;
+use crate::stats::{MetricEntry, MetricValue, Metrics};
 use binvec::wire::{put_f64, put_string, put_u32, put_u64, WireError, WireReader};
 use binvec::{BinaryVector, MutAck, Neighbor, QueryOptions, SearchError};
 
@@ -28,11 +28,11 @@ use binvec::{BinaryVector, MutAck, Neighbor, QueryOptions, SearchError};
 pub const MAGIC: [u8; 4] = *b"APWF";
 
 /// The protocol version this build speaks. Version 2 added the live-corpus
-/// frames (`Insert`, `Delete`, `MutAck`) and the mutation block of
-/// [`StatsFrame`]; version 3 added the write-ahead-log gauge block of
-/// [`StatsFrame`]; version 4 added the lane-core gauges (`lane_width`,
-/// `lane_batches`, `lane_fill`). Older-version peers are refused at decode.
-pub const VERSION: u8 = 4;
+/// frames (`Insert`, `Delete`, `MutAck`); versions 2, 3 and 4 each also grew
+/// the fixed field list [`StatsFrame`] then was. Version 5 made that frame a
+/// self-describing list of named metrics, so a new metric no longer moves the
+/// version. Older-version peers are refused at decode.
+pub const VERSION: u8 = 5;
 
 /// Bytes of frame header before the payload.
 pub const HEADER_LEN: usize = 20;
@@ -58,169 +58,57 @@ mod tag {
 }
 
 /// A point-in-time view of a serving runtime, as carried by [`Frame::Stats`]:
-/// the [`crate::RuntimeConfig`] shape plus the [`ServiceStats`] counters a
-/// remote operator needs to decompose network-visible latency.
+/// the backend's label and the runtime's [`crate::ServiceStats::metrics`] list
+/// (whose `config.*` entries are the [`crate::RuntimeConfig`] shape).
+///
+/// The payload is self-describing — `backend` string, `u32` entry count, then
+/// per entry a name string, a kind byte (0 count, 1 gauge, 2 latency) and the
+/// value (a `u64`; an `f64`; a `u64` sample count and the p50/p95/p99 `f64`
+/// milliseconds) — so a decoder keeps entries whose names it has never heard
+/// of and a new metric is not a protocol change.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StatsFrame {
     /// The backend's label.
     pub backend: String,
-    /// Configured worker threads.
-    pub workers: u64,
-    /// Configured admission-queue capacity.
-    pub queue_capacity: u64,
-    /// Configured dispatch batch size.
-    pub batch_size: u64,
-    /// Configured result-cache capacity.
-    pub cache_capacity: u64,
-    /// Queries admitted (tickets minted).
-    pub queries_submitted: u64,
-    /// Queries served with results.
-    pub queries_served: u64,
-    /// Queries failed at dispatch.
-    pub failed_queries: u64,
-    /// Queries shed because their deadline passed.
-    pub deadline_expired: u64,
-    /// Submissions refused by the full admission queue.
-    pub queue_full_rejections: u64,
-    /// Batches dispatched to the backend.
-    pub batches_dispatched: u64,
-    /// Queries answered from the result cache.
-    pub cache_hits: u64,
-    /// Queries that missed the cache.
-    pub cache_misses: u64,
-    /// AP symbol cycles charged across all dispatches.
-    pub ap_symbol_cycles: u64,
-    /// The backend's corpus generation (0 for a frozen corpus).
-    pub generation: u64,
-    /// Mutations admitted (tickets minted).
-    pub mutations_submitted: u64,
-    /// Mutations applied and acknowledged.
-    pub mutations_applied: u64,
-    /// Mutations refused, failed, or shed past their deadline.
-    pub mutations_failed: u64,
-    /// Vectors resident in uncompacted delta partitions.
-    pub delta_vectors: u64,
-    /// Tombstoned ids not yet folded away by compaction.
-    pub tombstones: u64,
-    /// WAL records appended (0 when serving without a write-ahead log).
-    pub wal_records: u64,
-    /// WAL bytes appended.
-    pub wal_bytes: u64,
-    /// fsyncs issued by the WAL (group commit makes this ≤ `wal_records`).
-    pub wal_fsyncs: u64,
-    /// Largest commit group (records covered by one fsync).
-    pub wal_group_max: u64,
-    /// Checkpoints taken.
-    pub wal_checkpoints: u64,
-    /// Records replayed from the log tail at the most recent restore.
-    pub wal_replayed: u64,
-    /// Bytes truncated off a torn log tail at the most recent restore.
-    pub wal_truncated_bytes: u64,
-    /// Lane width of the cycle-accurate execution core (64 once any batch ran
-    /// cycle-accurately, 0 before).
-    pub lane_width: u64,
-    /// Cycle-accurate batches (every one runs on the lane core).
-    pub lane_batches: u64,
-    /// Wall-clock uptime in milliseconds.
-    pub uptime_ms: f64,
-    /// Mean records per fsync (0.0 before the first fsync).
-    pub wal_group_mean: f64,
-    /// Mean lane occupancy of cycle-accurate batches (0.0 before the first).
-    pub lane_fill: f64,
-    /// Submit→dispatch queue-wait percentiles `(p50, p95, p99)` in
-    /// milliseconds, absent before the first dispatched query.
-    pub queue_wait_ms: Option<(f64, f64, f64)>,
-    /// Mutation submit→visible staleness percentiles `(p50, p95, p99)` in
-    /// milliseconds, absent before the first applied mutation.
-    pub mutation_staleness_ms: Option<(f64, f64, f64)>,
+    /// Every metric of the snapshot, in the sender's order.
+    pub metrics: Metrics,
 }
 
-impl StatsFrame {
-    /// Builds the frame from a runtime's config shape and stats snapshot.
-    pub fn snapshot(backend: &str, config: &crate::RuntimeConfig, stats: &ServiceStats) -> Self {
-        Self {
-            backend: backend.to_string(),
-            workers: config.workers as u64,
-            queue_capacity: config.queue_capacity as u64,
-            batch_size: config.batch_size as u64,
-            cache_capacity: config.cache_capacity as u64,
-            queries_submitted: stats.queries_submitted,
-            queries_served: stats.queries_served,
-            failed_queries: stats.failed_queries,
-            deadline_expired: stats.deadline_expired,
-            queue_full_rejections: stats.queue_full_rejections,
-            batches_dispatched: stats.batches_dispatched,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            ap_symbol_cycles: stats.ap_symbol_cycles,
-            generation: stats.generation,
-            mutations_submitted: stats.mutations_submitted,
-            mutations_applied: stats.mutations_applied,
-            mutations_failed: stats.mutations_failed,
-            delta_vectors: stats.delta_vectors,
-            tombstones: stats.tombstones,
-            wal_records: stats.wal_records,
-            wal_bytes: stats.wal_bytes,
-            wal_fsyncs: stats.wal_fsyncs,
-            wal_group_max: stats.wal_group_max,
-            wal_checkpoints: stats.wal_checkpoints,
-            wal_replayed: stats.wal_replayed,
-            wal_truncated_bytes: stats.wal_truncated_bytes,
-            lane_width: stats.lane_width as u64,
-            lane_batches: stats.lane_batches,
-            uptime_ms: stats.uptime.as_secs_f64() * 1e3,
-            wal_group_mean: stats.wal_group_mean,
-            lane_fill: stats.lane_fill().unwrap_or(0.0),
-            queue_wait_ms: stats.queue_wait_percentiles_ms(),
-            mutation_staleness_ms: stats.mutation_staleness_percentiles_ms(),
-        }
-    }
+/// Kind bytes of a [`StatsFrame`] entry.
+mod metric_kind {
+    pub const COUNT: u8 = 0;
+    pub const GAUGE: u8 = 1;
+    pub const LATENCY: u8 = 2;
+}
 
+/// Fewest payload bytes one entry can occupy: an empty name's length prefix,
+/// the kind byte and an 8-byte value.
+const MIN_ENTRY_LEN: usize = 4 + 1 + 8;
+
+impl StatsFrame {
     fn encode_payload(&self, out: &mut Vec<u8>) {
         put_string(out, &self.backend);
-        for value in [
-            self.workers,
-            self.queue_capacity,
-            self.batch_size,
-            self.cache_capacity,
-            self.queries_submitted,
-            self.queries_served,
-            self.failed_queries,
-            self.deadline_expired,
-            self.queue_full_rejections,
-            self.batches_dispatched,
-            self.cache_hits,
-            self.cache_misses,
-            self.ap_symbol_cycles,
-            self.generation,
-            self.mutations_submitted,
-            self.mutations_applied,
-            self.mutations_failed,
-            self.delta_vectors,
-            self.tombstones,
-            self.wal_records,
-            self.wal_bytes,
-            self.wal_fsyncs,
-            self.wal_group_max,
-            self.wal_checkpoints,
-            self.wal_replayed,
-            self.wal_truncated_bytes,
-            self.lane_width,
-            self.lane_batches,
-        ] {
-            put_u64(out, value);
-        }
-        put_f64(out, self.uptime_ms);
-        put_f64(out, self.wal_group_mean);
-        put_f64(out, self.lane_fill);
-        for triple in [self.queue_wait_ms, self.mutation_staleness_ms] {
-            match triple {
-                None => out.push(0),
-                Some((p50, p95, p99)) => {
-                    out.push(1);
-                    put_f64(out, p50);
-                    put_f64(out, p95);
-                    put_f64(out, p99);
+        put_u32(out, self.metrics.0.len() as u32);
+        for MetricEntry { name, value } in &self.metrics.0 {
+            put_string(out, name);
+            match *value {
+                MetricValue::Count(value) => {
+                    out.push(metric_kind::COUNT);
+                    put_u64(out, value);
+                }
+                MetricValue::Gauge(value) => {
+                    out.push(metric_kind::GAUGE);
+                    put_f64(out, value);
+                }
+                MetricValue::Latency {
+                    count,
+                    percentiles_ms,
+                } => {
+                    out.push(metric_kind::LATENCY);
+                    put_u64(out, count);
+                    for percentile in percentiles_ms {
+                        put_f64(out, percentile);
+                    }
                 }
             }
         }
@@ -228,60 +116,37 @@ impl StatsFrame {
 
     fn decode_payload(reader: &mut WireReader<'_>) -> Result<Self, WireError> {
         let backend = reader.string()?;
-        let mut counters = [0u64; 28];
-        for slot in &mut counters {
-            *slot = reader.u64()?;
+        let count = reader.u32()? as usize;
+        // A count the payload cannot hold is refused before the Vec is sized
+        // from it (a name's declared length is bounds-checked by `string`).
+        let limit = reader.remaining() / MIN_ENTRY_LEN;
+        if count > limit {
+            return Err(WireError::Oversized {
+                declared: count as u64,
+                limit: limit as u64,
+            });
         }
-        let uptime_ms = reader.f64()?;
-        let wal_group_mean = reader.f64()?;
-        let lane_fill = reader.f64()?;
-        let queue_wait_ms = if reader.presence()? {
-            Some((reader.f64()?, reader.f64()?, reader.f64()?))
-        } else {
-            None
-        };
-        let mutation_staleness_ms = if reader.presence()? {
-            Some((reader.f64()?, reader.f64()?, reader.f64()?))
-        } else {
-            None
-        };
-        let [workers, queue_capacity, batch_size, cache_capacity, queries_submitted, queries_served, failed_queries, deadline_expired, queue_full_rejections, batches_dispatched, cache_hits, cache_misses, ap_symbol_cycles, generation, mutations_submitted, mutations_applied, mutations_failed, delta_vectors, tombstones, wal_records, wal_bytes, wal_fsyncs, wal_group_max, wal_checkpoints, wal_replayed, wal_truncated_bytes, lane_width, lane_batches] =
-            counters;
+        let mut entries = Vec::with_capacity(count);
+        for _ in 0..count {
+            let name = reader.string()?;
+            let value = match reader.u8()? {
+                metric_kind::COUNT => MetricValue::Count(reader.u64()?),
+                metric_kind::GAUGE => MetricValue::Gauge(reader.f64()?),
+                metric_kind::LATENCY => MetricValue::Latency {
+                    count: reader.u64()?,
+                    percentiles_ms: [reader.f64()?, reader.f64()?, reader.f64()?],
+                },
+                _ => {
+                    return Err(WireError::Malformed {
+                        what: "metric kind",
+                    })
+                }
+            };
+            entries.push(MetricEntry { name, value });
+        }
         Ok(Self {
             backend,
-            workers,
-            queue_capacity,
-            batch_size,
-            cache_capacity,
-            queries_submitted,
-            queries_served,
-            failed_queries,
-            deadline_expired,
-            queue_full_rejections,
-            batches_dispatched,
-            cache_hits,
-            cache_misses,
-            ap_symbol_cycles,
-            generation,
-            mutations_submitted,
-            mutations_applied,
-            mutations_failed,
-            delta_vectors,
-            tombstones,
-            wal_records,
-            wal_bytes,
-            wal_fsyncs,
-            wal_group_max,
-            wal_checkpoints,
-            wal_replayed,
-            wal_truncated_bytes,
-            lane_width,
-            lane_batches,
-            uptime_ms,
-            wal_group_mean,
-            lane_fill,
-            queue_wait_ms,
-            mutation_staleness_ms,
+            metrics: Metrics(entries),
         })
     }
 }
@@ -600,58 +465,66 @@ mod tests {
         assert_eq!(roundtrip(ack.clone(), 79), ack);
     }
 
+    fn stats_frame(entries: &[(&str, MetricValue)]) -> Frame {
+        Frame::Stats(Box::new(StatsFrame {
+            backend: "ap-engine[prepared]".to_string(),
+            metrics: Metrics(
+                entries
+                    .iter()
+                    .map(|&(name, value)| MetricEntry {
+                        name: name.to_string(),
+                        value,
+                    })
+                    .collect(),
+            ),
+        }))
+    }
+
     #[test]
     fn stats_frame_roundtrips() {
-        let stats = StatsFrame {
-            backend: "ap-engine[prepared]".to_string(),
-            workers: 4,
-            queue_capacity: 1024,
+        // All three kinds, and a name no table in this build lists: the
+        // decoder keeps what it is sent.
+        let full = stats_frame(&[
+            ("queries.served", MetricValue::Count(990)),
+            ("lanes.fill", MetricValue::Gauge(0.109375)),
+            (
+                "queries.queue_wait",
+                MetricValue::Latency {
+                    count: 970,
+                    percentiles_ms: [0.2, 1.5, 3.0],
+                },
+            ),
+            ("from.a.newer.peer", MetricValue::Count(u64::MAX)),
+        ]);
+        assert_eq!(roundtrip(full.clone(), 3), full);
+        let empty = stats_frame(&[]);
+        assert_eq!(roundtrip(empty.clone(), 4), empty);
+    }
+
+    #[test]
+    fn batch_fill_is_computable_from_a_decoded_frame_alone() {
+        let stats = crate::ServiceStats {
             batch_size: 7,
-            cache_capacity: 128,
-            queries_submitted: 1000,
-            queries_served: 990,
-            failed_queries: 6,
-            deadline_expired: 4,
-            queue_full_rejections: 12,
-            batches_dispatched: 150,
-            cache_hits: 30,
-            cache_misses: 970,
-            ap_symbol_cycles: 123_456,
-            generation: 42,
-            mutations_submitted: 25,
-            mutations_applied: 21,
-            mutations_failed: 4,
-            delta_vectors: 19,
-            tombstones: 2,
-            wal_records: 21,
-            wal_bytes: 840,
-            wal_fsyncs: 7,
-            wal_group_max: 5,
-            wal_checkpoints: 1,
-            wal_replayed: 4,
-            wal_truncated_bytes: 13,
-            lane_width: 64,
-            lane_batches: 140,
-            uptime_ms: 1234.5,
-            wal_group_mean: 3.0,
-            lane_fill: 0.109375,
-            queue_wait_ms: Some((0.2, 1.5, 3.0)),
-            mutation_staleness_ms: Some((0.4, 2.0, 5.5)),
+            batches_dispatched: 2,
+            full_batches: 1,
+            batched_queries: 10,
+            reconfigurations: 6,
+            ..Default::default()
         };
-        assert_eq!(
-            roundtrip(Frame::Stats(Box::new(stats.clone())), 3),
-            Frame::Stats(Box::new(stats.clone()))
-        );
-        // A frozen-corpus runtime: no mutation percentiles on the wire.
-        let frozen = StatsFrame {
-            mutation_staleness_ms: None,
-            queue_wait_ms: None,
-            ..stats
+        let sent = Frame::Stats(Box::new(StatsFrame {
+            backend: "linear".to_string(),
+            metrics: stats.metrics(),
+        }));
+        let Frame::Stats(frame) = roundtrip(sent, 5) else {
+            panic!("expected Stats");
         };
-        assert_eq!(
-            roundtrip(Frame::Stats(Box::new(frozen.clone())), 4),
-            Frame::Stats(Box::new(frozen))
-        );
+        let count = |name| frame.metrics.count(name).expect(name) as f64;
+        let fill =
+            count("batches.queries") / (count("batches.dispatched") * count("config.batch_size"));
+        assert_eq!(Some(fill), stats.batch_fill_ratio());
+        assert_eq!(frame.metrics.gauge("batches.fill"), Some(fill));
+        assert_eq!(frame.metrics.count("ap.reconfigurations"), Some(6));
+        assert_eq!(frame.metrics.count("batches.full"), Some(1));
     }
 
     #[test]

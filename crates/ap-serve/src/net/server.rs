@@ -307,8 +307,10 @@ fn handle_frame(
             true
         }
         Frame::StatsRequest => {
-            let stats = runtime.stats();
-            let snapshot = StatsFrame::snapshot(&runtime.backend_name(), runtime.config(), &stats);
+            let snapshot = StatsFrame {
+                backend: runtime.backend_name(),
+                metrics: runtime.stats().metrics(),
+            };
             sink.send(correlation, &Frame::Stats(Box::new(snapshot)));
             true
         }

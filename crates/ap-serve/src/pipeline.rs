@@ -34,7 +34,6 @@ use crate::backend::{
     ApEngineBackend, ApSchedulerBackend, IndexedApBackend, JaccardBackend, SimilarityBackend,
 };
 use crate::cache::{ResultCache, MAX_CACHE_CAPACITY};
-use crate::registry::BackendRegistry;
 use crate::runtime::{RuntimeConfig, ServiceRuntime};
 use crate::shard::{ShardedBackend, ShardedDataset};
 use ap_knn::engine::ApRunStats;
@@ -155,6 +154,51 @@ impl BackendSpec {
         Self::Scheduler {
             boards,
             capacity: None,
+        }
+    }
+
+    /// Resolves a stable backend name, so deployments pick the engine family
+    /// by configuration:
+    ///
+    /// | name | backend |
+    /// |---|---|
+    /// | `ap` | cycle-accurate single-board AP engine |
+    /// | `ap-behavioral` | behavioural AP engine |
+    /// | `ap-auto` | AP engine with the frontier-aware auto planner |
+    /// | `ap-scheduler` | four-board [`ParallelApScheduler`] |
+    /// | `indexed-kdforest` / `indexed-kmeans` / `indexed-lsh` | §III-D host-index / AP-bucket-scan |
+    /// | `linear` / `parallel-linear` | exact CPU scans |
+    /// | `kdforest` / `kmeans` / `lsh` | host-only approximate indexes |
+    ///
+    /// # Errors
+    /// [`SearchError::Unsupported`] for any other name; the message lists the
+    /// names above.
+    pub fn from_name(name: &str) -> Result<Self, SearchError> {
+        let named = [
+            ("ap", Self::ap()),
+            ("ap-behavioral", Self::behavioral()),
+            ("ap-auto", Self::auto()),
+            ("ap-scheduler", Self::scheduler(4)),
+            ("indexed-kdforest", Self::Indexed(IndexKind::KdForest)),
+            ("indexed-kmeans", Self::Indexed(IndexKind::KMeans)),
+            ("indexed-lsh", Self::Indexed(IndexKind::Lsh)),
+            ("linear", Self::Baseline(BaselineKind::Linear)),
+            (
+                "parallel-linear",
+                Self::Baseline(BaselineKind::ParallelLinear { threads: 4 }),
+            ),
+            ("kdforest", Self::Baseline(BaselineKind::KdForest)),
+            ("kmeans", Self::Baseline(BaselineKind::KMeans)),
+            ("lsh", Self::Baseline(BaselineKind::Lsh)),
+        ];
+        match named.iter().find(|(known, _)| *known == name) {
+            Some(&(_, spec)) => Ok(spec),
+            None => Err(SearchError::Unsupported {
+                what: format!(
+                    "no backend named '{name}' (available: {})",
+                    named.map(|(known, _)| known).join(", ")
+                ),
+            }),
         }
     }
 
@@ -341,19 +385,14 @@ pub struct Response {
     pub provenance: Provenance,
 }
 
-/// Internal: how the builder chooses the backend.
-enum BackendChoice {
-    Spec(BackendSpec),
-    Named(String),
-}
-
 /// Fluent configuration for a [`SearchPipeline`]. Created by
 /// [`SearchPipeline::over`]; consumed by [`SearchPipelineBuilder::build`].
 pub struct SearchPipelineBuilder {
     data: BinaryDataset,
     metric: Metric,
-    backend: BackendChoice,
-    registry: Option<BackendRegistry>,
+    /// The chosen spec, or why [`SearchPipelineBuilder::backend_named`]
+    /// could not resolve one (reported by `build`).
+    backend: Result<BackendSpec, SearchError>,
     shards: usize,
     cache_capacity: usize,
 }
@@ -367,22 +406,14 @@ impl SearchPipelineBuilder {
 
     /// Sets the backend family (default [`BackendSpec::ap`]).
     pub fn backend(mut self, spec: BackendSpec) -> Self {
-        self.backend = BackendChoice::Spec(spec);
+        self.backend = Ok(spec);
         self
     }
 
-    /// Selects the backend by registry name (see [`BackendRegistry::builtin`]
-    /// for the built-in names). Resolved at [`Self::build`] time against the
-    /// registry set with [`Self::registry`], or the built-in one.
-    pub fn backend_named(mut self, name: impl Into<String>) -> Self {
-        self.backend = BackendChoice::Named(name.into());
-        self
-    }
-
-    /// Overrides the registry used to resolve [`Self::backend_named`], so
-    /// deployments can add their own backend families.
-    pub fn registry(mut self, registry: BackendRegistry) -> Self {
-        self.registry = Some(registry);
+    /// Selects the backend by name (see [`BackendSpec::from_name`] for the
+    /// names); an unknown name is reported by [`Self::build`].
+    pub fn backend_named(mut self, name: impl AsRef<str>) -> Self {
+        self.backend = BackendSpec::from_name(name.as_ref());
         self
     }
 
@@ -406,7 +437,7 @@ impl SearchPipelineBuilder {
     /// * [`SearchError::InvalidConfig`] — zero shards, an absurd cache
     ///   capacity (> [`MAX_CACHE_CAPACITY`]), or an invalid backend spec;
     /// * [`SearchError::Unsupported`] — a metric/backend combination no
-    ///   engine serves, or an unknown registry name.
+    ///   engine serves, or an unknown backend name.
     pub fn build(self) -> Result<SearchPipeline, SearchError> {
         if self.data.dims() == 0 {
             return Err(SearchError::ZeroDims);
@@ -427,18 +458,9 @@ impl SearchPipelineBuilder {
             });
         }
 
-        let instantiate = |data: &BinaryDataset,
-                           engine_parallelism: Option<usize>|
-         -> Result<Box<dyn SimilarityBackend>, SearchError> {
-            match &self.backend {
-                BackendChoice::Spec(spec) => {
-                    spec.instantiate_with_engine_parallelism(data, self.metric, engine_parallelism)
-                }
-                BackendChoice::Named(name) => match &self.registry {
-                    Some(registry) => registry.build(name, data, self.metric),
-                    None => BackendRegistry::builtin().build(name, data, self.metric),
-                },
-            }
+        let spec = self.backend?;
+        let instantiate = |data: &BinaryDataset, engine_parallelism: Option<usize>| {
+            spec.instantiate_with_engine_parallelism(data, self.metric, engine_parallelism)
         };
 
         let (backend, shards): (Box<dyn SimilarityBackend>, usize) = if self.shards == 1 {
@@ -481,8 +503,7 @@ impl SearchPipeline {
         SearchPipelineBuilder {
             data: dataset,
             metric: Metric::default(),
-            backend: BackendChoice::Spec(BackendSpec::default()),
-            registry: None,
+            backend: Ok(BackendSpec::default()),
             shards: 1,
             cache_capacity: 0,
         }
@@ -666,6 +687,60 @@ mod tests {
 
     fn fixtures(n: usize, dims: usize) -> (BinaryDataset, Vec<Query>) {
         (uniform_dataset(n, dims, 41), uniform_queries(5, dims, 42))
+    }
+
+    #[test]
+    fn builtin_names_cover_every_backend_family() {
+        for name in [
+            "ap",
+            "ap-behavioral",
+            "ap-auto",
+            "ap-scheduler",
+            "indexed-kdforest",
+            "indexed-kmeans",
+            "indexed-lsh",
+            "linear",
+            "parallel-linear",
+            "kdforest",
+            "kmeans",
+            "lsh",
+        ] {
+            assert!(
+                BackendSpec::from_name(name).is_ok(),
+                "missing builtin '{name}'"
+            );
+        }
+    }
+
+    #[test]
+    fn built_backends_serve_queries() {
+        let (data, queries) = fixtures(40, 16);
+        let expected = LinearScan::new(data.clone()).search_batch(&queries, 3);
+        for name in ["ap-behavioral", "ap-auto", "linear", "parallel-linear"] {
+            let mut pipeline = SearchPipeline::over(data.clone())
+                .backend_named(name)
+                .build()
+                .unwrap();
+            let responses = pipeline
+                .query_batch(&queries, &QueryOptions::top(3))
+                .unwrap();
+            for (response, expected) in responses.iter().zip(&expected) {
+                assert_eq!(&response.neighbors, expected, "backend '{name}'");
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_names_list_the_alternatives() {
+        let (data, _) = fixtures(4, 8);
+        let err = SearchPipeline::over(data)
+            .backend_named("quantum")
+            .build()
+            .err()
+            .unwrap();
+        assert!(matches!(err, SearchError::Unsupported { .. }));
+        let msg = err.to_string();
+        assert!(msg.contains("quantum") && msg.contains("linear"), "{msg}");
     }
 
     #[test]

@@ -515,7 +515,13 @@ impl ServiceRuntime {
         let shared = Arc::new(Shared {
             queue: ScheduledQueue::new(config.queue_capacity),
             cache: Mutex::new(ResultCache::new(config.cache_capacity)),
-            stats: Mutex::new(ServiceStats::default()),
+            // Seeded with the backend's status so a corpus restored from a
+            // WAL reports its generation and replay figures before the first
+            // mutation arrives.
+            stats: Mutex::new(ServiceStats {
+                live: backends[0].live_status(),
+                ..ServiceStats::default()
+            }),
             batch_size: config.batch_size,
         });
         let mut workers = backends.into_iter().map(|backend| Worker {
@@ -747,6 +753,8 @@ impl ServiceRuntime {
         let mut stats = self.shared.stats().clone();
         stats.batch_size = self.config.batch_size;
         stats.workers = self.config.workers;
+        stats.queue_capacity = self.config.queue_capacity;
+        stats.cache_capacity = self.config.cache_capacity;
         {
             let cache = self.shared.cache();
             stats.cache_hits = cache.hits();
@@ -946,21 +954,7 @@ fn apply_mutations(
         match backend.live_status() {
             Some(status) => {
                 shared.cache().advance_generation(status.generation);
-                let mut stats = shared.stats();
-                stats.generation = status.generation;
-                stats.delta_vectors = status.delta_vectors as u64;
-                stats.tombstones = status.tombstones as u64;
-                stats.delta_fill = status.fill();
-                if let Some(wal) = status.wal {
-                    stats.wal_records = wal.records;
-                    stats.wal_bytes = wal.bytes;
-                    stats.wal_fsyncs = wal.fsyncs;
-                    stats.wal_group_max = wal.group_max;
-                    stats.wal_group_mean = wal.group_mean();
-                    stats.wal_checkpoints = wal.checkpoints;
-                    stats.wal_replayed = wal.replayed;
-                    stats.wal_truncated_bytes = wal.truncated_bytes;
-                }
+                shared.stats().live = Some(status);
             }
             // A backend that applied a mutation but exposes no live status:
             // flush unconditionally — correctness over hit rate.
@@ -1523,10 +1517,11 @@ mod tests {
             stats.mutations_applied + stats.mutations_failed
         );
         assert_eq!(stats.deadline_expired, 0, "queries untouched by the shed");
-        assert_eq!(stats.generation, 4);
-        assert_eq!(stats.delta_vectors, 3);
-        assert_eq!(stats.tombstones, 1);
-        assert!(stats.mutation_staleness_percentiles_ms().is_some());
+        let live = stats.live.expect("a live backend reports its status");
+        assert_eq!(live.generation, 4);
+        assert_eq!(live.delta_vectors, 3);
+        assert_eq!(live.tombstones, 1);
+        assert!(stats.mutation_staleness.summary().is_some());
     }
 
     #[test]
@@ -1716,29 +1711,17 @@ mod tests {
                 .is_some_and(|n| (n.id, n.distance) == (40, 0))
         };
         assert!(polled.iter().any(nearest_is_the_insert));
+        // Every count the snapshot exposes, bar the worker count itself.
         let counters = |s: &ServiceStats| {
-            [
-                s.queries_submitted,
-                s.queries_served,
-                s.cache_hits,
-                s.cache_misses,
-                s.batches_dispatched,
-                s.batched_queries,
-                s.full_batches,
-                s.failed_batches,
-                s.failed_queries,
-                s.deadline_expired,
-                s.queue_full_rejections,
-                s.mutations_submitted,
-                s.mutations_applied,
-                s.mutations_failed,
-                s.generation,
-                s.delta_vectors,
-                s.tombstones,
-                s.ap_symbol_cycles,
-                s.reconfigurations,
-            ]
+            let mut counts = s.metrics().0;
+            counts.retain(|e| {
+                matches!(e.value, crate::MetricValue::Count(_)) && e.name != "config.workers"
+            });
+            counts
         };
+        assert!(counters(&polled_stats)
+            .iter()
+            .any(|e| e.name == "live.generation"));
         assert_eq!(counters(&polled_stats), counters(&threaded_stats));
         assert_eq!((polled_stats.workers, threaded_stats.workers), (0, 1));
     }

@@ -1,6 +1,10 @@
 //! Service-level accounting: throughput, batching efficiency, cache behavior,
-//! and per-shard utilization.
+//! and per-shard utilization — and the one list of named metrics
+//! ([`ServiceStats::metrics`]) that the wire `Stats` frame, the human report
+//! and the CLIs all render.
 
+use ap_knn::LiveStatus;
+use std::fmt;
 use std::time::Duration;
 
 /// Geometric growth factor between adjacent latency-histogram buckets (~11
@@ -94,6 +98,108 @@ impl LatencyHistogram {
     pub fn max_ms(&self) -> Option<f64> {
         (self.total > 0).then(|| self.max_micros as f64 / 1e3)
     }
+
+    /// The sample count and p50/p95/p99 as a [`MetricValue::Latency`],
+    /// `None` before the first sample.
+    pub fn summary(&self) -> Option<MetricValue> {
+        Some(MetricValue::Latency {
+            count: self.total,
+            percentiles_ms: [
+                self.percentile_ms(0.50)?,
+                self.percentile_ms(0.95)?,
+                self.percentile_ms(0.99)?,
+            ],
+        })
+    }
+}
+
+/// The value of one [`MetricEntry`]: the three kinds a stats snapshot holds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum MetricValue {
+    /// A monotonic or configured whole number.
+    Count(u64),
+    /// A point-in-time or derived real number (a ratio, a rate, milliseconds).
+    Gauge(f64),
+    /// A latency distribution.
+    Latency {
+        /// Samples recorded.
+        count: u64,
+        /// Their p50, p95 and p99, in milliseconds.
+        percentiles_ms: [f64; 3],
+    },
+}
+
+impl fmt::Display for MetricValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Self::Count(value) => write!(f, "{value}"),
+            Self::Gauge(value) => write!(f, "{value:.3}"),
+            Self::Latency {
+                count,
+                percentiles_ms: [p50, p95, p99],
+            } => write!(f, "p50/p95/p99 {p50:.2}/{p95:.2}/{p99:.2} ms ({count})"),
+        }
+    }
+}
+
+/// One named metric: `group.name` and its value.
+#[derive(Clone, Debug, PartialEq)]
+pub struct MetricEntry {
+    /// The metric's `group.name` (see [`ServiceStats::metrics`]).
+    pub name: String,
+    /// Its value.
+    pub value: MetricValue,
+}
+
+/// An ordered list of [`MetricEntry`]s — what [`ServiceStats::metrics`] yields
+/// and what a wire `Stats` frame carries. Lookups are by name; `Display`
+/// renders `name value | name value | …`, leaving out the zero entries.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Metrics(pub Vec<MetricEntry>);
+
+impl Metrics {
+    /// The value recorded under `name`, if the list has one.
+    pub fn get(&self, name: &str) -> Option<MetricValue> {
+        let entry = self.0.iter().find(|entry| entry.name == name)?;
+        Some(entry.value)
+    }
+
+    /// The [`MetricValue::Count`] recorded under `name`.
+    pub fn count(&self, name: &str) -> Option<u64> {
+        match self.get(name)? {
+            MetricValue::Count(value) => Some(value),
+            _ => None,
+        }
+    }
+
+    /// The [`MetricValue::Gauge`] recorded under `name`.
+    pub fn gauge(&self, name: &str) -> Option<f64> {
+        match self.get(name)? {
+            MetricValue::Gauge(value) => Some(value),
+            _ => None,
+        }
+    }
+
+    /// The `[p50, p95, p99]` milliseconds of the [`MetricValue::Latency`]
+    /// recorded under `name`.
+    pub fn latency_ms(&self, name: &str) -> Option<[f64; 3]> {
+        match self.get(name)? {
+            MetricValue::Latency { percentiles_ms, .. } => Some(percentiles_ms),
+            _ => None,
+        }
+    }
+}
+
+impl fmt::Display for Metrics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let zero = [MetricValue::Count(0), MetricValue::Gauge(0.0)];
+        let shown = self.0.iter().filter(|entry| !zero.contains(&entry.value));
+        for (i, MetricEntry { name, value }) in shown.enumerate() {
+            let separator = if i == 0 { "" } else { " | " };
+            write!(f, "{separator}{name} {value}")?;
+        }
+        Ok(())
+    }
 }
 
 /// Cumulative statistics for one [`crate::ServiceRuntime`].
@@ -108,6 +214,10 @@ pub struct ServiceStats {
     pub batch_size: usize,
     /// Worker threads serving dispatches (0 when the caller drives `poll`).
     pub workers: usize,
+    /// The service's configured admission-queue capacity.
+    pub queue_capacity: usize,
+    /// The service's configured result-cache capacity.
+    pub cache_capacity: usize,
     /// Queries accepted by `submit` (a ticket was minted).
     pub queries_submitted: u64,
     /// Queries whose results have been produced (served from the engine or the
@@ -156,9 +266,11 @@ pub struct ServiceStats {
     /// Queries resolved without a dispatch (cache hits, shed deadlines) record
     /// nothing here.
     pub queue_wait: LatencyHistogram,
-    /// Corpus generation after the most recently applied mutation (stays 0
-    /// for frozen-corpus backends, which never mutate).
-    pub generation: u64,
+    /// The live backend's status — generation, delta and tombstone load, and
+    /// the write-ahead-log gauges when it is durable — as of runtime start
+    /// or the most recent applied mutation batch, whichever is later. `None`
+    /// for frozen-corpus backends.
+    pub live: Option<LiveStatus>,
     /// Mutations accepted by `try_submit_mutation` (a ticket was minted).
     /// Mutations satisfy their own conservation invariant:
     /// `mutations_submitted == mutations_applied + mutations_failed` once all
@@ -170,16 +282,6 @@ pub struct ServiceStats {
     /// unknown id, or any mutation on a frozen backend) or shed because their
     /// deadline passed before a worker reached them.
     pub mutations_failed: u64,
-    /// Vectors held in the live backend's delta segments after the most
-    /// recent applied mutation.
-    pub delta_vectors: u64,
-    /// Tombstoned (deleted but not yet compacted-away) vectors after the most
-    /// recent applied mutation.
-    pub tombstones: u64,
-    /// Delta/tombstone load as a fraction of the live backend's compaction
-    /// threshold (1.0 = compaction due), after the most recent applied
-    /// mutation.
-    pub delta_fill: f64,
     /// Submit→visible staleness of every applied mutation: the time from
     /// `try_submit_mutation` to the epoch swap that made the mutation
     /// observable by queries (the ack is delivered after this is recorded).
@@ -192,29 +294,6 @@ pub struct ServiceStats {
     /// Sum of per-batch lane fill (queries / lane slots) over
     /// [`Self::lane_batches`]; read through [`Self::lane_fill`].
     pub lane_fill_sum: f64,
-    /// WAL records appended since the log was opened (0 when the backend
-    /// serves without a write-ahead log). Refreshed after each applied
-    /// mutation batch, like the other live-corpus gauges.
-    pub wal_records: u64,
-    /// WAL payload bytes appended (headers and checksums included).
-    pub wal_bytes: u64,
-    /// fsync calls issued by the WAL — with group commit this is less than
-    /// [`Self::wal_records`] under concurrent mutation load.
-    pub wal_fsyncs: u64,
-    /// Largest number of records covered by a single fsync (the biggest
-    /// commit group observed).
-    pub wal_group_max: u64,
-    /// Mean records per fsync (1.0 = no grouping; higher means group commit
-    /// is amortizing durability over concurrent ackers).
-    pub wal_group_mean: f64,
-    /// Checkpoints taken since the log was opened.
-    pub wal_checkpoints: u64,
-    /// Records replayed from the WAL tail at the most recent restore (0 for
-    /// a log opened fresh).
-    pub wal_replayed: u64,
-    /// Bytes truncated off the log tail at the most recent restore — a torn
-    /// final record from a crash mid-append.
-    pub wal_truncated_bytes: u64,
 }
 
 impl ServiceStats {
@@ -276,125 +355,109 @@ impl ServiceStats {
         (self.lane_batches > 0).then(|| self.lane_fill_sum / self.lane_batches as f64)
     }
 
-    /// Submit→dispatch queue-wait percentiles `(p50, p95, p99)` in
-    /// milliseconds; `None` before the first dispatched query.
-    pub fn queue_wait_percentiles_ms(&self) -> Option<(f64, f64, f64)> {
-        Some((
-            self.queue_wait.percentile_ms(0.50)?,
-            self.queue_wait.percentile_ms(0.95)?,
-            self.queue_wait.percentile_ms(0.99)?,
-        ))
+    /// Every metric of this snapshot as a named list, in the order of the
+    /// metrics table: `config.*` (the runtime's shape), `queries.*`,
+    /// `batches.*`, `cache.*`, `ap.*`, `lanes.*`, `mutations.*`, `live.*`,
+    /// `wal.*`, `uptime.*`. A latency with no sample yet, and every `live.*` /
+    /// `wal.*` metric of a backend without a live corpus / a write-ahead log,
+    /// yields no entry.
+    pub fn metrics(&self) -> Metrics {
+        let entries = METRICS.iter().filter_map(|&(name, read)| {
+            Some(MetricEntry {
+                name: name.to_string(),
+                value: read(self)?,
+            })
+        });
+        Metrics(entries.collect())
     }
 
-    /// Submit→visible mutation-staleness percentiles `(p50, p95, p99)` in
-    /// milliseconds; `None` before the first applied mutation.
-    pub fn mutation_staleness_percentiles_ms(&self) -> Option<(f64, f64, f64)> {
-        Some((
-            self.mutation_staleness.percentile_ms(0.50)?,
-            self.mutation_staleness.percentile_ms(0.95)?,
-            self.mutation_staleness.percentile_ms(0.99)?,
-        ))
-    }
-
-    /// Renders a compact human-readable report.
+    /// Renders a compact human-readable report: the [`Self::metrics`] list,
+    /// then each shard's load relative to the busiest when sharded.
     pub fn report(&self) -> String {
-        let fill = self
-            .batch_fill_ratio()
-            .map_or("n/a".to_string(), |f| format!("{:.1}%", f * 100.0));
-        let hit = self
-            .cache_hit_rate()
-            .map_or("n/a".to_string(), |h| format!("{:.1}%", h * 100.0));
-        let utilization = if self.shard_cycles.is_empty() {
-            "unsharded".to_string()
-        } else {
-            self.shard_utilization()
-                .iter()
-                .map(|u| format!("{:.0}%", u * 100.0))
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        let failures = if self.failed_batches == 0 {
-            String::new()
-        } else {
-            format!(
-                " | {} failed batches ({} queries)",
-                self.failed_batches, self.failed_queries
-            )
-        };
-        let shedding = if self.deadline_expired == 0 && self.queue_full_rejections == 0 {
-            String::new()
-        } else {
-            format!(
-                " | shed {} expired, {} queue-full",
-                self.deadline_expired, self.queue_full_rejections
-            )
-        };
-        let queue_wait = self
-            .queue_wait_percentiles_ms()
-            .map_or(String::new(), |(p50, p95, p99)| {
-                format!(" | queue wait p50/p95/p99 {p50:.2}/{p95:.2}/{p99:.2} ms")
-            });
-        let lanes = if self.lane_batches == 0 {
-            String::new()
-        } else {
-            format!(
-                " | lanes w{} ({} batches, fill {:.0}%)",
-                self.lane_width,
-                self.lane_batches,
-                self.lane_fill().unwrap_or(0.0) * 100.0,
-            )
-        };
-        let mutations = if self.mutations_submitted == 0 {
-            String::new()
-        } else {
-            let staleness = self
-                .mutation_staleness_percentiles_ms()
-                .map_or(String::new(), |(p50, p95, p99)| {
-                    format!(", staleness p50/p95/p99 {p50:.2}/{p95:.2}/{p99:.2} ms")
-                });
-            format!(
-                " | {} mutations applied/{} (gen {}, {} delta, {} tombstoned, fill {:.0}%{staleness})",
-                self.mutations_applied,
-                self.mutations_submitted,
-                self.generation,
-                self.delta_vectors,
-                self.tombstones,
-                self.delta_fill * 100.0,
-            )
-        };
-        let wal = if self.wal_records == 0 && self.wal_fsyncs == 0 && self.wal_replayed == 0 {
-            String::new()
-        } else {
-            let truncated = if self.wal_truncated_bytes == 0 {
-                String::new()
-            } else {
-                format!(", truncated {} B", self.wal_truncated_bytes)
-            };
-            format!(
-                " | wal {} recs/{} B, {} fsyncs (group mean {:.1}, max {}), {} ckpts, replayed {}{truncated}",
-                self.wal_records,
-                self.wal_bytes,
-                self.wal_fsyncs,
-                self.wal_group_mean,
-                self.wal_group_max,
-                self.wal_checkpoints,
-                self.wal_replayed,
-            )
-        };
-        format!(
-            "served {}/{} queries | {} batches (fill {fill}) | cache hit {hit} | \
-             {} AP cycles, {} reconfigs | shard load [{utilization}] | \
-             {:.0} q/s wall, {:.0} q/s busy{failures}{shedding}{queue_wait}{lanes}{mutations}{wal}",
-            self.queries_served,
-            self.queries_submitted,
-            self.batches_dispatched,
-            self.ap_symbol_cycles,
-            self.reconfigurations,
-            self.throughput_qps(),
-            self.busy_throughput_qps(),
-        )
+        let mut report = self.metrics().to_string();
+        if !self.shard_cycles.is_empty() {
+            report.push_str(" | shard load:");
+            for load in self.shard_utilization() {
+                report.push_str(&format!(" {:.0}%", load * 100.0));
+            }
+        }
+        report
     }
 }
+
+/// One row of the metrics table: the metric's name and how to read it off a
+/// [`ServiceStats`] — [`count`], [`gauge`] or a histogram's `summary` fixes
+/// its kind. A reader returning `None` yields no entry.
+type Row = (&'static str, fn(&ServiceStats) -> Option<MetricValue>);
+
+fn count(value: u64) -> Option<MetricValue> {
+    Some(MetricValue::Count(value))
+}
+
+fn gauge(value: f64) -> Option<MetricValue> {
+    Some(MetricValue::Gauge(value))
+}
+
+fn millis(duration: Duration) -> f64 {
+    duration.as_secs_f64() * 1e3
+}
+
+/// Every metric a stats snapshot exposes, in rendering order. This table is
+/// the only place a metric is named: adding one is adding a row.
+static METRICS: &[Row] = &[
+    ("config.workers", |s| count(s.workers as u64)),
+    ("config.queue_capacity", |s| count(s.queue_capacity as u64)),
+    ("config.batch_size", |s| count(s.batch_size as u64)),
+    ("config.cache_capacity", |s| count(s.cache_capacity as u64)),
+    ("queries.submitted", |s| count(s.queries_submitted)),
+    ("queries.served", |s| count(s.queries_served)),
+    ("queries.failed", |s| count(s.failed_queries)),
+    ("queries.deadline_expired", |s| count(s.deadline_expired)),
+    ("queries.queue_full", |s| count(s.queue_full_rejections)),
+    ("queries.queue_wait", |s| s.queue_wait.summary()),
+    ("batches.dispatched", |s| count(s.batches_dispatched)),
+    ("batches.full", |s| count(s.full_batches)),
+    ("batches.queries", |s| count(s.batched_queries)),
+    ("batches.failed", |s| count(s.failed_batches)),
+    ("batches.fill", |s| {
+        s.batch_fill_ratio().map(MetricValue::Gauge)
+    }),
+    ("batches.busy_ms", |s| gauge(millis(s.busy_time))),
+    ("batches.failed_ms", |s| gauge(millis(s.failed_time))),
+    ("batches.busy_qps", |s| gauge(s.busy_throughput_qps())),
+    ("cache.hits", |s| count(s.cache_hits)),
+    ("cache.misses", |s| count(s.cache_misses)),
+    ("cache.hit_rate", |s| {
+        s.cache_hit_rate().map(MetricValue::Gauge)
+    }),
+    ("ap.symbol_cycles", |s| count(s.ap_symbol_cycles)),
+    ("ap.reconfigurations", |s| count(s.reconfigurations)),
+    ("lanes.width", |s| count(s.lane_width as u64)),
+    ("lanes.batches", |s| count(s.lane_batches)),
+    ("lanes.fill", |s| s.lane_fill().map(MetricValue::Gauge)),
+    ("mutations.submitted", |s| count(s.mutations_submitted)),
+    ("mutations.applied", |s| count(s.mutations_applied)),
+    ("mutations.failed", |s| count(s.mutations_failed)),
+    ("mutations.staleness", |s| s.mutation_staleness.summary()),
+    ("live.generation", |s| count(s.live?.generation)),
+    ("live.delta_vectors", |s| {
+        count(s.live?.delta_vectors as u64)
+    }),
+    ("live.tombstones", |s| count(s.live?.tombstones as u64)),
+    ("live.delta_fill", |s| gauge(s.live?.fill())),
+    ("wal.records", |s| count(s.live?.wal?.records)),
+    ("wal.bytes", |s| count(s.live?.wal?.bytes)),
+    ("wal.fsyncs", |s| count(s.live?.wal?.fsyncs)),
+    ("wal.group_mean", |s| gauge(s.live?.wal?.group_mean())),
+    ("wal.group_max", |s| count(s.live?.wal?.group_max)),
+    ("wal.checkpoints", |s| count(s.live?.wal?.checkpoints)),
+    ("wal.replayed", |s| count(s.live?.wal?.replayed)),
+    ("wal.truncated_bytes", |s| {
+        count(s.live?.wal?.truncated_bytes)
+    }),
+    ("uptime.ms", |s| gauge(millis(s.uptime))),
+    ("uptime.wall_qps", |s| gauge(s.throughput_qps())),
+];
 
 #[cfg(test)]
 mod tests {
@@ -423,8 +486,15 @@ mod tests {
         assert!((stats.throughput_qps() - 6.5).abs() < 1e-12);
         assert_eq!(stats.shard_utilization(), vec![1.0, 0.5, 0.0]);
         let report = stats.report();
-        assert!(report.contains("served 13/0"));
-        assert!(report.contains("2 batches"));
+        assert!(report.contains("queries.served 13 | "), "{report}");
+        assert!(report.contains("batches.dispatched 2 | batches.full 1 | batches.queries 10"));
+        assert!(report.contains("batches.fill 0.714"));
+        assert!(report.contains("cache.hits 3 | cache.misses 10 | cache.hit_rate 0.231"));
+        assert!(report.ends_with("| shard load: 100% 50% 0%"), "{report}");
+        assert!(
+            !report.contains("submitted") && !report.contains("failed"),
+            "zero entries are left out: {report}"
+        );
     }
 
     #[test]
@@ -464,75 +534,134 @@ mod tests {
         assert!(p100 <= 0.001, "sub-microsecond samples stay tiny: {p100}");
     }
 
+    fn live_status() -> LiveStatus {
+        LiveStatus {
+            generation: 7,
+            delta_vectors: 3,
+            tombstones: 1,
+            compact_threshold: 8,
+            ..LiveStatus::default()
+        }
+    }
+
     #[test]
     fn mutation_staleness_and_gauges_surface_in_the_report() {
         let mut stats = ServiceStats::default();
-        assert_eq!(stats.mutation_staleness_percentiles_ms(), None);
-        assert!(!stats.report().contains("mutations"));
+        assert_eq!(stats.mutation_staleness.summary(), None);
+        assert_eq!(stats.report(), "", "nothing counted, nothing printed");
 
         stats.mutations_submitted = 5;
         stats.mutations_applied = 4;
         stats.mutations_failed = 1;
-        stats.generation = 7;
-        stats.delta_vectors = 3;
-        stats.tombstones = 1;
-        stats.delta_fill = 0.375;
+        stats.live = Some(live_status());
         stats.mutation_staleness.record(Duration::from_millis(2));
-        let (p50, p95, p99) = stats.mutation_staleness_percentiles_ms().unwrap();
+        let metrics = stats.metrics();
+        let [p50, p95, p99] = metrics.latency_ms("mutations.staleness").unwrap();
         assert!(p50 <= p95 && p95 <= p99);
+        assert_eq!(metrics.count("live.generation"), Some(7));
+        assert_eq!(metrics.gauge("live.delta_fill"), Some(0.375));
         let report = stats.report();
-        assert!(report.contains("4 mutations applied/5"));
-        assert!(report.contains("gen 7"));
-        assert!(report.contains("staleness"));
+        assert!(
+            report.contains("mutations.submitted 5 | mutations.applied 4 | mutations.failed 1"),
+            "{report}"
+        );
+        assert!(report.contains("mutations.staleness p50/p95/p99 2.00/2.00/2.00 ms (1)"));
+        assert!(report.contains("live.generation 7 | live.delta_vectors 3 | live.tombstones 1"));
+        assert!(report.contains("live.delta_fill 0.375"));
+        assert!(!report.contains("wal"), "an in-memory corpus has no wal");
     }
 
     #[test]
     fn wal_gauges_surface_in_the_report_only_when_durable() {
         let mut stats = ServiceStats::default();
-        assert!(
-            !stats.report().contains("| wal"),
-            "no wal segment without a WAL"
-        );
+        assert!(stats
+            .metrics()
+            .0
+            .iter()
+            .all(|e| !e.name.starts_with("wal.")));
+        assert!(!stats.report().contains("wal"), "no wal without a WAL");
 
-        stats.wal_records = 12;
-        stats.wal_bytes = 480;
-        stats.wal_fsyncs = 3;
-        stats.wal_group_mean = 4.0;
-        stats.wal_group_max = 6;
-        stats.wal_checkpoints = 1;
-        stats.wal_replayed = 5;
+        let mut wal = ap_knn::wal::WalGauges {
+            records: 12,
+            bytes: 480,
+            fsyncs: 3,
+            group_records: 12,
+            group_max: 6,
+            checkpoints: 1,
+            replayed: 5,
+            ..Default::default()
+        };
+        stats.live = Some(LiveStatus {
+            wal: Some(wal),
+            ..live_status()
+        });
         let report = stats.report();
-        assert!(report.contains("wal 12 recs/480 B"));
-        assert!(report.contains("3 fsyncs"));
-        assert!(report.contains("replayed 5"));
+        assert!(
+            report.contains(
+                "wal.records 12 | wal.bytes 480 | wal.fsyncs 3 | wal.group_mean 4.000 | \
+                 wal.group_max 6 | wal.checkpoints 1 | wal.replayed 5"
+            ),
+            "{report}"
+        );
         assert!(!report.contains("truncated"), "no torn tail, no mention");
+        assert_eq!(stats.metrics().count("wal.truncated_bytes"), Some(0));
 
-        stats.wal_truncated_bytes = 7;
-        assert!(stats.report().contains("truncated 7 B"));
+        wal.truncated_bytes = 7;
+        stats.live = Some(LiveStatus {
+            wal: Some(wal),
+            ..live_status()
+        });
+        assert!(stats.report().contains("wal.truncated_bytes 7"));
     }
 
     #[test]
     fn lane_gauges_surface_in_the_report_only_after_a_lane_batch() {
         let mut stats = ServiceStats::default();
         assert_eq!(stats.lane_fill(), None);
+        assert_eq!(stats.metrics().get("lanes.fill"), None);
         assert!(!stats.report().contains("lanes"));
         stats.lane_width = 64;
         stats.lane_batches = 4;
         stats.lane_fill_sum = 0.5;
         assert!((stats.lane_fill().unwrap() - 0.125).abs() < 1e-12);
-        let report = stats.report();
-        assert!(report.contains("lanes w64 (4 batches"));
-        assert!(report.contains("fill 12"));
+        assert!(stats
+            .report()
+            .contains("lanes.width 64 | lanes.batches 4 | lanes.fill 0.125"));
     }
 
     #[test]
     fn queue_wait_percentiles_surface_in_the_report() {
         let mut stats = ServiceStats::default();
-        assert_eq!(stats.queue_wait_percentiles_ms(), None);
-        assert!(!stats.report().contains("queue wait"));
+        assert_eq!(stats.metrics().get("queries.queue_wait"), None);
+        assert!(!stats.report().contains("queue_wait"));
         stats.queue_wait.record(Duration::from_millis(3));
-        let (p50, p95, p99) = stats.queue_wait_percentiles_ms().unwrap();
+        let [p50, p95, p99] = stats.metrics().latency_ms("queries.queue_wait").unwrap();
         assert!(p50 <= p95 && p95 <= p99);
-        assert!(stats.report().contains("queue wait"));
+        assert!(stats
+            .report()
+            .contains("queries.queue_wait p50/p95/p99 3.00/3.00/3.00 ms (1)"));
+    }
+
+    #[test]
+    fn every_table_row_yields_one_uniquely_named_entry() {
+        let mut stats = ServiceStats {
+            live: Some(LiveStatus {
+                wal: Some(Default::default()),
+                ..live_status()
+            }),
+            batch_size: 7,
+            batches_dispatched: 1,
+            cache_misses: 1,
+            lane_batches: 1,
+            ..ServiceStats::default()
+        };
+        stats.queue_wait.record(Duration::ZERO);
+        stats.mutation_staleness.record(Duration::ZERO);
+        let metrics = stats.metrics();
+        assert_eq!(metrics.0.len(), METRICS.len());
+        let mut names: Vec<&str> = metrics.0.iter().map(|e| e.name.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), METRICS.len());
     }
 }

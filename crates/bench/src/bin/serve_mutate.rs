@@ -222,7 +222,8 @@ fn run_churn(load: &Load, options: QueryOptions, durable_dir: Option<&PathBuf>) 
     let mut client = ApClient::connect(addr).expect("stats connect");
     let stats = client.stats().expect("stats over the wire");
     assert_eq!(
-        stats.mutations_applied, load.mutations as u64,
+        stats.metrics.count("mutations.applied"),
+        Some(load.mutations as u64),
         "every mutation must have applied"
     );
     drop(client);
@@ -298,32 +299,33 @@ fn record_pass(records: &mut Vec<ExperimentRecord>, load: &Load, wal: &str, pass
     // staleness histogram (queue wait + apply + epoch swap, not just the
     // client-observed round trip) — and, on the durable pass, the WAL
     // gauges that show group commit actually grouping.
-    let stats = &pass.stats;
+    let stats = &pass.stats.metrics;
+    let count = |name| stats.count(name).unwrap_or(0);
     println!(
         "server: generation {}, {} applied / {} submitted, {} delta vectors, \
          {} tombstones (wal {wal})",
-        stats.generation,
-        stats.mutations_applied,
-        stats.mutations_submitted,
-        stats.delta_vectors,
-        stats.tombstones,
+        count("live.generation"),
+        count("mutations.applied"),
+        count("mutations.submitted"),
+        count("live.delta_vectors"),
+        count("live.tombstones"),
     );
     let label = format!("server wal={wal}");
     records.push(ExperimentRecord::new(
         "serve_mutate",
         label.clone(),
         "generation",
-        stats.generation as f64,
+        count("live.generation") as f64,
         None,
     ));
     records.push(ExperimentRecord::new(
         "serve_mutate",
         label.clone(),
         "tombstones",
-        stats.tombstones as f64,
+        count("live.tombstones") as f64,
         None,
     ));
-    if let Some((p50, p95, p99)) = stats.mutation_staleness_ms {
+    if let Some([p50, p95, p99]) = stats.latency_ms("mutations.staleness") {
         println!("server staleness: p50 {p50:.3} ms, p95 {p95:.3} ms, p99 {p99:.3} ms");
         for (metric, value) in [
             ("staleness_p50_ms", p50),
@@ -339,23 +341,23 @@ fn record_pass(records: &mut Vec<ExperimentRecord>, load: &Load, wal: &str, pass
             ));
         }
     }
-    if stats.wal_fsyncs > 0 {
-        let group_mean = stats.wal_group_mean;
+    if count("wal.fsyncs") > 0 {
+        let group_mean = stats.gauge("wal.group_mean").unwrap_or(0.0);
         println!(
             "server wal: {} records / {} B, {} fsyncs (group mean {:.1}, max {}), \
              {} checkpoints",
-            stats.wal_records,
-            stats.wal_bytes,
-            stats.wal_fsyncs,
+            count("wal.records"),
+            count("wal.bytes"),
+            count("wal.fsyncs"),
             group_mean,
-            stats.wal_group_max,
-            stats.wal_checkpoints,
+            count("wal.group_max"),
+            count("wal.checkpoints"),
         );
         for (metric, value) in [
-            ("wal_records", stats.wal_records as f64),
-            ("wal_fsyncs", stats.wal_fsyncs as f64),
+            ("wal_records", count("wal.records") as f64),
+            ("wal_fsyncs", count("wal.fsyncs") as f64),
             ("wal_group_mean", group_mean),
-            ("wal_group_max", stats.wal_group_max as f64),
+            ("wal_group_max", count("wal.group_max") as f64),
         ] {
             records.push(ExperimentRecord::new(
                 "serve_mutate",

@@ -249,12 +249,13 @@ fn main() {
         direct.search(sample, options.k),
         "wire results must match the linear scan"
     );
-    let stats = client.stats().expect("stats over the wire");
-    if let Some((p50, p95, p99)) = stats.queue_wait_ms {
+    let stats = client.stats().expect("stats over the wire").metrics;
+    if let Some([p50, p95, p99]) = stats.latency_ms("queries.queue_wait") {
         println!(
             "server queue wait: p50 {p50:.3} ms, p95 {p95:.3} ms, p99 {p99:.3} ms \
              ({} served, {} batches)",
-            stats.queries_served, stats.batches_dispatched,
+            stats.count("queries.served").unwrap_or(0),
+            stats.count("batches.dispatched").unwrap_or(0),
         );
     }
     drop(client);

@@ -153,9 +153,9 @@ fn main() {
     let stats = runtime.shutdown();
     println!(
         "serving runtime: generation {}, {} mutation applied, staleness recorded: {}",
-        stats.generation,
+        stats.live.map_or(0, |live| live.generation),
         stats.mutations_applied,
-        stats.mutation_staleness_percentiles_ms().is_some()
+        stats.mutation_staleness.summary().is_some()
     );
     println!("live corpus walkthrough complete");
 }

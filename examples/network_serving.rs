@@ -110,15 +110,16 @@ fn main() {
 
     // 5. The server's own view, fetched over the wire.
     let stats = client.stats().expect("stats over the wire");
+    let count = |name| stats.metrics.count(name).unwrap_or(0);
     println!(
         "server stats: backend '{}', {} workers, {} submitted, {} served, {} failed",
         stats.backend,
-        stats.workers,
-        stats.queries_submitted,
-        stats.queries_served,
-        stats.failed_queries,
+        count("config.workers"),
+        count("queries.submitted"),
+        count("queries.served"),
+        count("queries.failed"),
     );
-    if let Some((p50, p95, p99)) = stats.queue_wait_ms {
+    if let Some([p50, p95, p99]) = stats.metrics.latency_ms("queries.queue_wait") {
         println!("queue wait: p50 {p50:.3} ms, p95 {p95:.3} ms, p99 {p99:.3} ms");
     }
 

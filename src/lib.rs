@@ -102,11 +102,11 @@ pub mod prelude {
         WalGauges,
     };
     pub use ap_serve::{
-        ApClient, ApEngineBackend, ApSchedulerBackend, ApServer, BackendRegistry, BackendSpec,
-        BaselineKind, CompletionSet, FailedQuery, Frame, FrameBuffer, IndexKind, LiveBackend,
-        Metric, NetError, Provenance, Response, RetryPolicy, RuntimeConfig, SearchPipeline,
-        ServiceRuntime, ServiceStats, ShardedBackend, ShardedDataset, SimilarityBackend,
-        StatsFrame, TicketHandle, TicketResult,
+        ApClient, ApEngineBackend, ApSchedulerBackend, ApServer, BackendSpec, BaselineKind,
+        CompletionSet, FailedQuery, Frame, FrameBuffer, IndexKind, LiveBackend, Metric, NetError,
+        Provenance, Response, RetryPolicy, RuntimeConfig, SearchPipeline, ServiceRuntime,
+        ServiceStats, ShardedBackend, ShardedDataset, SimilarityBackend, StatsFrame, TicketHandle,
+        TicketResult,
     };
     pub use ap_sim::{
         ApGeneration, AutomataNetwork, CompiledPcre, DeviceConfig, PcreSet, Simulator, TimingModel,

@@ -109,7 +109,7 @@ fn retrying_client_survives_a_flaky_listener() {
 
     // The connection is healthy now: stats and search work without faults.
     let stats = client.stats().expect("stats");
-    assert_eq!(stats.workers, 2);
+    assert_eq!(stats.metrics.count("config.workers"), Some(2));
     let query = uniform_queries(1, DIMS, 811).pop().unwrap();
     let neighbors = client
         .search(query.clone(), QueryOptions::top(3))

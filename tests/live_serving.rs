@@ -3,7 +3,8 @@
 //! immediately visible to subsequent queries, never masked by the result
 //! cache. Also pins the client's timeout behavior against a stalled server.
 
-use ap_knn::live::LiveConfig;
+use ap_knn::live::{LiveConfig, LiveEngine};
+use ap_knn::wal::WalConfig;
 use ap_knn::{ApKnnEngine, KnnDesign};
 use ap_serve::net::{ApClient, ApServer, NetError};
 use ap_serve::{LiveBackend, QueryOptions, RuntimeConfig, SearchError, ServiceRuntime};
@@ -73,16 +74,17 @@ fn mutations_over_loopback_are_acked_and_visible_to_queries() {
     assert!(gone.iter().all(|n| n.id != 20));
 
     // The stats frame surfaces the mutation telemetry remotely.
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.generation, 2);
-    assert_eq!(stats.mutations_submitted, 2);
-    assert_eq!(stats.mutations_applied, 2);
-    assert_eq!(stats.mutations_failed, 0);
-    assert_eq!(stats.tombstones, 1);
+    let stats = client.stats().expect("stats").metrics;
+    assert_eq!(stats.count("live.generation"), Some(2));
+    assert_eq!(stats.count("live.tombstones"), Some(1));
+    assert_eq!(stats.count("mutations.submitted"), Some(2));
+    assert_eq!(stats.count("mutations.applied"), Some(2));
+    assert_eq!(stats.count("mutations.failed"), Some(0));
     assert!(
-        stats.mutation_staleness_ms.is_some(),
+        stats.latency_ms("mutations.staleness").is_some(),
         "staleness percentiles travel once a mutation applied"
     );
+    assert_eq!(stats.get("wal.records"), None, "an in-memory corpus");
     server.shutdown();
 }
 
@@ -135,6 +137,43 @@ fn frozen_backend_refuses_wire_mutations_with_a_typed_error() {
     let query = uniform_queries(1, DIMS, 715).pop().unwrap();
     assert_eq!(client.search(query, QueryOptions::top(2)).unwrap().len(), 2);
     server.shutdown();
+}
+
+#[test]
+fn a_runtime_over_a_restored_corpus_reports_the_restore_before_any_mutation() {
+    // The regression: the live gauges used to be copied into the stats only
+    // after a successful mutation, so a server restarted from its WAL said
+    // "generation 0, replayed 0" until the first insert arrived.
+    let dir = std::env::temp_dir().join(format!("ap-live-serving-restore-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = || ApKnnEngine::new(KnnDesign::new(DIMS));
+    let config = || LiveConfig::default().with_background(false);
+    let wal = || WalConfig::default().with_checkpoint_every(None);
+
+    let data = uniform_dataset(12, DIMS, 720);
+    let live = LiveEngine::durable(engine(), &data, config(), wal(), &dir).expect("durable");
+    for vector in uniform_queries(3, DIMS, 721) {
+        live.insert(&vector).expect("acked insert");
+    }
+    live.delete(0).expect("acked delete");
+    drop(live);
+
+    let (restored, report) = LiveEngine::restore(engine(), config(), wal(), &dir).expect("restore");
+    assert_eq!(report.replayed, 4);
+    let runtime = ServiceRuntime::try_shared(
+        RuntimeConfig::default().with_workers(0),
+        Arc::new(LiveBackend::from_engine(Arc::new(restored))),
+    )
+    .expect("runtime");
+
+    let metrics = runtime.stats().metrics();
+    assert_eq!(metrics.count("mutations.submitted"), Some(0));
+    assert_eq!(metrics.count("live.generation"), Some(4));
+    assert_eq!(metrics.count("wal.replayed"), Some(4));
+    assert_eq!(metrics.count("wal.truncated_bytes"), Some(0));
+    assert!(runtime.stats().report().contains("replayed 4"));
+    drop(runtime);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

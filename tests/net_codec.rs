@@ -7,8 +7,9 @@
 //! mid-stream — yields a typed [`WireError`], never a panic and never an
 //! allocation sized from an unvalidated declared length.
 
-use ap_serve::net::{Frame, FrameBuffer, StatsFrame, HEADER_LEN, MAX_PAYLOAD};
-use binvec::wire::WireError;
+use ap_serve::net::{Frame, FrameBuffer, StatsFrame, HEADER_LEN, MAX_PAYLOAD, VERSION};
+use ap_serve::{MetricEntry, MetricValue, Metrics, ServiceStats};
+use binvec::wire::{put_string, put_u32, WireError};
 use binvec::{
     Deadline, ExecutionPreference, MutAck, MutationOp, Neighbor, Priority, QueryOptions,
     SearchError,
@@ -97,49 +98,31 @@ fn sample_frame(seed: u64, kind: usize) -> Frame {
         }),
         _ => Frame::Stats(Box::new(StatsFrame {
             backend: format!("engine-{}", mix % 5),
-            workers: mix % 64,
-            queue_capacity: mix % 10_000,
-            batch_size: 1 + mix % 7,
-            cache_capacity: mix % 2048,
-            queries_submitted: mix,
-            queries_served: mix / 2,
-            failed_queries: mix % 13,
-            deadline_expired: mix % 7,
-            queue_full_rejections: mix % 29,
-            batches_dispatched: mix / 9,
-            cache_hits: mix % 1000,
-            cache_misses: mix % 999,
-            ap_symbol_cycles: mix.wrapping_mul(3),
-            generation: mix % 500,
-            mutations_submitted: mix % 700,
-            mutations_applied: mix % 600,
-            mutations_failed: mix % 11,
-            delta_vectors: mix % 257,
-            tombstones: mix % 31,
-            wal_records: mix % 4097,
-            wal_bytes: mix.wrapping_mul(37) % 100_000,
-            wal_fsyncs: mix % 1025,
-            wal_group_max: mix % 65,
-            wal_checkpoints: mix % 17,
-            wal_replayed: mix % 513,
-            wal_truncated_bytes: mix % 47,
-            lane_width: if mix.is_multiple_of(5) { 0 } else { 64 },
-            lane_batches: mix % 301,
-            uptime_ms: (mix % 1_000_000) as f64 / 7.0,
-            wal_group_mean: (mix % 64) as f64 / 4.0,
-            lane_fill: (mix % 65) as f64 / 64.0,
-            queue_wait_ms: if mix.is_multiple_of(2) {
-                Some(((mix % 10) as f64, (mix % 100) as f64, (mix % 1000) as f64))
-            } else {
-                None
-            },
-            mutation_staleness_ms: if mix.is_multiple_of(3) {
-                Some(((mix % 8) as f64, (mix % 80) as f64, (mix % 800) as f64))
-            } else {
-                None
-            },
+            metrics: sample_metrics(mix),
         })),
     }
+}
+
+/// An arbitrary metric list: 0 to 12 entries (empty whenever `mix` is a
+/// multiple of 13), the three value kinds in rotation, names unique by
+/// position — and none of them a name `ServiceStats::metrics` would emit, so
+/// a round-trip also shows the decoder keeps names no table of its own lists.
+fn sample_metrics(mix: u64) -> Metrics {
+    let entries = (0..mix % 13).map(|i| {
+        let v = mix.rotate_left(i as u32 * 5) ^ i;
+        MetricEntry {
+            name: format!("group{}.metric-{i}-{}", i / 3, v % 1000),
+            value: match (mix + i) % 3 {
+                0 => MetricValue::Count(v),
+                1 => MetricValue::Gauge((v % 1_000_000) as f64 / 7.0),
+                _ => MetricValue::Latency {
+                    count: v % 100_000,
+                    percentiles_ms: [(v % 10) as f64, (v % 100) as f64, (v % 1000) as f64 / 3.0],
+                },
+            },
+        }
+    });
+    Metrics(entries.collect())
 }
 
 /// Frame equality for round-trips: everything must match exactly except a
@@ -307,6 +290,70 @@ fn bad_magic_and_version_fail_from_partial_headers() {
 }
 
 #[test]
+fn a_v4_peer_is_refused_by_version() {
+    // v4 carried the fixed 35-field stats frame; whatever its payload, the
+    // header alone refuses it.
+    assert_eq!(VERSION, 5);
+    for kind in 0..10 {
+        let mut buf = Vec::new();
+        sample_frame(5, kind).encode(1, &mut buf);
+        buf[4] = 4;
+        assert_eq!(
+            Frame::decode(&buf),
+            Err(WireError::UnsupportedVersion { found: 4 }),
+            "kind {kind}"
+        );
+    }
+}
+
+#[test]
+fn stats_frames_keep_every_entry_they_are_sent() {
+    let mut saw_empty = false;
+    for mix in 0..200u64 {
+        let metrics = sample_metrics(mix);
+        saw_empty |= metrics.0.is_empty();
+        let mut names: Vec<&str> = metrics.0.iter().map(|e| e.name.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), metrics.0.len(), "generator names are unique");
+
+        let frame = Frame::Stats(Box::new(StatsFrame {
+            backend: "b".to_string(),
+            metrics,
+        }));
+        let mut buf = Vec::new();
+        frame.encode(mix, &mut buf);
+        let (_, decoded, consumed) = Frame::decode(&buf).unwrap().expect("complete");
+        assert_eq!(consumed, buf.len());
+        assert_eq!(decoded, frame);
+    }
+    assert!(saw_empty, "the empty list is one of the cases");
+
+    // A frame mixing names this build emits with one it does not: the
+    // stranger survives, in place.
+    let mut metrics = ServiceStats::default().metrics();
+    metrics.0.insert(
+        3,
+        MetricEntry {
+            name: "stage.simulate".to_string(),
+            value: MetricValue::Gauge(1.5),
+        },
+    );
+    let frame = Frame::Stats(Box::new(StatsFrame {
+        backend: "b".to_string(),
+        metrics,
+    }));
+    let mut buf = Vec::new();
+    frame.encode(0, &mut buf);
+    let Frame::Stats(decoded) = Frame::decode(&buf).unwrap().unwrap().1 else {
+        panic!("expected Stats");
+    };
+    assert_eq!(decoded.metrics.0[3].name, "stage.simulate");
+    assert_eq!(decoded.metrics.gauge("stage.simulate"), Some(1.5));
+    assert_eq!(Frame::Stats(decoded), frame);
+}
+
+#[test]
 fn hostile_counts_inside_payloads_are_refused_before_allocation() {
     // Completed frame declaring u32::MAX neighbors in a 4-byte payload.
     let mut buf = Vec::new();
@@ -329,6 +376,56 @@ fn hostile_counts_inside_payloads_are_refused_before_allocation() {
     let dims_at = buf.len() - 8 - 4; // one 64-bit word + the u32 dims field
     buf[dims_at..dims_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(Frame::decode(&buf).is_err());
+
+    // Stats frames: a declared entry count, then a declared name length,
+    // larger than what is left of the payload.
+    let stats_frame = |tail: &[u8]| {
+        let mut buf = Vec::new();
+        Frame::Stats(Box::new(StatsFrame {
+            backend: "b".to_string(),
+            metrics: Metrics::default(),
+        }))
+        .encode(0, &mut buf);
+        buf.truncate(buf.len() - 4); // drop the honest zero count
+        buf.extend_from_slice(tail);
+        let payload_len = (buf.len() - HEADER_LEN) as u32;
+        buf[8..12].copy_from_slice(&payload_len.to_le_bytes());
+        buf
+    };
+    for declared in [1u32, 1000, u32::MAX] {
+        let mut tail = Vec::new();
+        put_u32(&mut tail, declared);
+        // Twelve bytes follow: one short of the smallest possible entry.
+        tail.extend_from_slice(&[0; 12]);
+        assert_eq!(
+            Frame::decode(&stats_frame(&tail)),
+            Err(WireError::Oversized {
+                declared: u64::from(declared),
+                limit: 0,
+            })
+        );
+    }
+    let mut tail = Vec::new();
+    put_u32(&mut tail, 1);
+    put_u32(&mut tail, u32::MAX); // the name's length
+    tail.extend_from_slice(&[0; 32]);
+    assert_eq!(
+        Frame::decode(&stats_frame(&tail)),
+        Err(WireError::Truncated {
+            needed: u32::MAX as usize,
+            available: 32,
+        })
+    );
+    // An honest name, then a kind byte no version defines.
+    let mut tail = Vec::new();
+    put_u32(&mut tail, 1);
+    put_string(&mut tail, "queries.served");
+    tail.push(7);
+    tail.extend_from_slice(&[0; 8]);
+    assert!(matches!(
+        Frame::decode(&stats_frame(&tail)),
+        Err(WireError::Malformed { .. })
+    ));
 }
 
 #[test]

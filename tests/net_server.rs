@@ -5,7 +5,8 @@
 
 use ap_serve::net::{ApClient, ApServer, CompletionSet, NetError};
 use ap_serve::{
-    BackendBatch, QueryOptions, RuntimeConfig, SearchError, ServiceRuntime, SimilarityBackend,
+    BackendBatch, MetricEntry, Metrics, QueryOptions, RuntimeConfig, SearchError, ServiceRuntime,
+    SimilarityBackend,
 };
 use baselines::{LinearScan, SearchIndex};
 use binvec::generate::{uniform_dataset, uniform_queries};
@@ -459,12 +460,33 @@ fn stats_frame_over_the_wire_matches_the_runtime_view() {
     let wire = client.stats().expect("stats over the wire");
     let local = runtime.stats();
     assert_eq!(wire.backend, runtime.backend_name());
-    assert_eq!(wire.workers, 2);
-    assert_eq!(wire.queue_capacity, 256);
-    assert_eq!(wire.queries_submitted, local.queries_submitted);
-    assert_eq!(wire.queries_served, 20);
-    let (p50, p95, p99) = wire
-        .queue_wait_ms
+
+    // The frame *is* the runtime's metric list: every counter, derived gauge
+    // and latency entry, in order. The runtime is quiescent between the two
+    // snapshots, so only the entries derived from uptime can differ.
+    let settled = |metrics: &Metrics| -> Vec<MetricEntry> {
+        let mut entries = metrics.0.clone();
+        entries.retain(|e| !e.name.starts_with("uptime."));
+        entries
+    };
+    assert_eq!(settled(&wire.metrics), settled(&local.metrics()));
+    assert_eq!(
+        wire.metrics.0.len(),
+        local.metrics().0.len(),
+        "the uptime entries travel too"
+    );
+
+    assert_eq!(wire.metrics.count("config.workers"), Some(2));
+    assert_eq!(wire.metrics.count("config.queue_capacity"), Some(256));
+    assert_eq!(wire.metrics.count("queries.served"), Some(20));
+    assert_eq!(
+        wire.metrics.count("batches.queries"),
+        Some(local.batched_queries)
+    );
+    assert_eq!(wire.metrics.get("live.generation"), None, "frozen corpus");
+    let [p50, p95, p99] = wire
+        .metrics
+        .latency_ms("queries.queue_wait")
         .expect("queue-wait percentiles present after served queries");
     assert!(p50 <= p95 && p95 <= p99, "percentiles must be ordered");
 
