@@ -24,9 +24,13 @@
 //! A linear fit `ns/symbol ≈ 1 700 + 0.48 · elements` reproduces all three
 //! points within ~8 %, which is accurate enough to place the crossover: the
 //! planner only needs to know whether a run costs milliseconds or minutes.
+//!
+//! The model prices lane-core *cycles*, whatever their width: with
+//! bit-sliced counters a 64-wide pass over the 512×64 shape costs about
+//! 1.05× a one-lane pass, well inside the fit's own error, so a batch of `W`
+//! queries is priced at `⌈W/64⌉` windows per image.
 
 use crate::engine::ExecutionMode;
-use ap_sim::lanes::MAX_LANES;
 use serde::{Deserialize, Serialize};
 
 /// Fixed per-symbol overhead of the compiled core, nanoseconds (fit intercept).
@@ -35,23 +39,6 @@ pub const BASE_NS_PER_SYMBOL: f64 = 1_700.0;
 pub const NS_PER_ELEMENT_SYMBOL: f64 = 0.48;
 /// Default simulation budget: runs estimated under this stay cycle-accurate.
 pub const DEFAULT_BUDGET_S: f64 = 0.25;
-/// Cost of one lane-core cycle relative to the fitted per-symbol cost above,
-/// with one lane occupied: `apbench` measures a width-1 lane pass at 0.97× the
-/// scalar pass on the 512×64 shape (`sim.lane1_vs_scalar_x`).
-const LANE_CYCLE_COST_WIDTH_1: f64 = 1.0;
-/// The same with all 64 lanes occupied: the `sim_lanes` bench measures a
-/// 13.2× speed-up over 64 lanes, so a full cycle costs 64 / 13.2 ≈ 4.8×.
-const LANE_CYCLE_COST_WIDTH_64: f64 = 4.8;
-
-/// Cost of one lane cycle with `width` lanes occupied, as a multiple of the
-/// fitted per-symbol cost: interpolated linearly between the two measured
-/// widths.
-fn lane_cycle_cost(width: usize) -> f64 {
-    let occupied = width.clamp(1, MAX_LANES) as f64;
-    LANE_CYCLE_COST_WIDTH_1
-        + (LANE_CYCLE_COST_WIDTH_64 - LANE_CYCLE_COST_WIDTH_1) * (occupied - 1.0)
-            / (MAX_LANES - 1) as f64
-}
 
 /// Picks an [`ExecutionMode`] from fabric size × stream length using the
 /// measured `BENCH_sim.json` cost model.
@@ -97,27 +84,22 @@ impl AutoPlanner {
     }
 
     /// Estimated wall-clock seconds for the lane core to run `lane_cycles`
-    /// cycles, `width` lanes occupied, on boards of `board_elements` fabric
+    /// cycles (at any lane width) on boards of `board_elements` fabric
     /// elements each. Callers with a parallel schedule pass their
     /// *critical-path* cycle count (`window_len × passes × images on the most
     /// loaded worker`), since that is what sets wall-clock time.
-    pub fn estimated_simulation_s(
-        &self,
-        board_elements: usize,
-        lane_cycles: u64,
-        width: usize,
-    ) -> f64 {
+    pub fn estimated_simulation_s(&self, board_elements: usize, lane_cycles: u64) -> f64 {
         let ns_per_symbol =
             self.base_ns_per_symbol + self.ns_per_element_symbol * board_elements as f64;
-        lane_cycles as f64 * ns_per_symbol * lane_cycle_cost(width) * 1e-9
+        lane_cycles as f64 * ns_per_symbol * 1e-9
     }
 
     /// The mode the planner selects for a run of this shape: cycle-accurate
     /// while the estimated simulation time fits the budget, behavioural
     /// beyond it. Deterministic in the run shape, so repeated identical
     /// batches always execute the same way.
-    pub fn pick(&self, board_elements: usize, lane_cycles: u64, width: usize) -> ExecutionMode {
-        if self.estimated_simulation_s(board_elements, lane_cycles, width) <= self.budget_s {
+    pub fn pick(&self, board_elements: usize, lane_cycles: u64) -> ExecutionMode {
+        if self.estimated_simulation_s(board_elements, lane_cycles) <= self.budget_s {
             ExecutionMode::CycleAccurate
         } else {
             ExecutionMode::Behavioral
@@ -137,10 +119,10 @@ pub enum ExecutionPlanner {
 impl ExecutionPlanner {
     /// Resolves the mode for a run of the given shape (see
     /// [`AutoPlanner::pick`]). Fixed planners ignore the shape.
-    pub fn pick(&self, board_elements: usize, lane_cycles: u64, width: usize) -> ExecutionMode {
+    pub fn pick(&self, board_elements: usize, lane_cycles: u64) -> ExecutionMode {
         match self {
             Self::Fixed(mode) => *mode,
-            Self::Auto(planner) => planner.pick(board_elements, lane_cycles, width),
+            Self::Auto(planner) => planner.pick(board_elements, lane_cycles),
         }
     }
 }
@@ -160,7 +142,7 @@ mod tests {
             (18_432, 11_485.0),
             (36_224, 19_196.0),
         ] {
-            let predicted_ns = planner.estimated_simulation_s(elements, 1, 1) * 1e9;
+            let predicted_ns = planner.estimated_simulation_s(elements, 1) * 1e9;
             let err = (predicted_ns - measured_ns).abs() / measured_ns;
             assert!(
                 err < 0.15,
@@ -173,22 +155,19 @@ mod tests {
     fn small_runs_stay_cycle_accurate_large_runs_fall_back() {
         let planner = AutoPlanner::measured();
         // A tiny board and a few windows: well under the budget.
-        assert_eq!(planner.pick(1_344, 10_000, 1), ExecutionMode::CycleAccurate);
+        assert_eq!(planner.pick(1_344, 10_000), ExecutionMode::CycleAccurate);
         // The paper's 2^20-vector regime: thousands of reconfigured windows on
         // full boards — minutes of simulation, so the planner falls back.
-        assert_eq!(
-            planner.pick(150_000, 50_000_000, 1),
-            ExecutionMode::Behavioral
-        );
+        assert_eq!(planner.pick(150_000, 50_000_000), ExecutionMode::Behavioral);
     }
 
     #[test]
     fn budget_moves_the_crossover() {
         let strict = AutoPlanner::measured().with_budget_s(1e-6);
-        assert_eq!(strict.pick(1_344, 10_000, 1), ExecutionMode::Behavioral);
+        assert_eq!(strict.pick(1_344, 10_000), ExecutionMode::Behavioral);
         let generous = AutoPlanner::measured().with_budget_s(1e6);
         assert_eq!(
-            generous.pick(150_000, 50_000_000, 1),
+            generous.pick(150_000, 50_000_000),
             ExecutionMode::CycleAccurate
         );
     }
@@ -196,9 +175,9 @@ mod tests {
     #[test]
     fn fixed_planner_ignores_the_shape() {
         let fixed = ExecutionPlanner::Fixed(ExecutionMode::Behavioral);
-        assert_eq!(fixed.pick(1, 1, 1), ExecutionMode::Behavioral);
+        assert_eq!(fixed.pick(1, 1), ExecutionMode::Behavioral);
         assert_eq!(
-            fixed.pick(usize::MAX >> 1, u64::MAX >> 1, MAX_LANES),
+            fixed.pick(usize::MAX >> 1, u64::MAX >> 1),
             ExecutionMode::Behavioral
         );
     }
@@ -207,18 +186,6 @@ mod tests {
     #[should_panic(expected = "positive number of seconds")]
     fn zero_budget_panics() {
         let _ = AutoPlanner::measured().with_budget_s(0.0);
-    }
-
-    #[test]
-    fn lane_cycle_cost_interpolates_between_the_measured_widths() {
-        assert_eq!(lane_cycle_cost(1), LANE_CYCLE_COST_WIDTH_1);
-        assert_eq!(lane_cycle_cost(MAX_LANES), LANE_CYCLE_COST_WIDTH_64);
-        // Out-of-range widths clamp to the measured ends.
-        assert_eq!(lane_cycle_cost(0), LANE_CYCLE_COST_WIDTH_1);
-        assert_eq!(lane_cycle_cost(1_000), LANE_CYCLE_COST_WIDTH_64);
-        for width in 1..MAX_LANES {
-            assert!(lane_cycle_cost(width) < lane_cycle_cost(width + 1));
-        }
     }
 
     #[test]
@@ -236,17 +203,17 @@ mod tests {
         ] {
             let window = StreamLayout::for_design(&KnnDesign::new(dims)).window_len() as u64;
             assert_eq!(
-                planner.pick(elements, window, 1),
+                planner.pick(elements, window),
                 ExecutionMode::CycleAccurate,
                 "dims {dims}: one image"
             );
             assert_eq!(
-                planner.pick(elements, window * last_cycle_accurate, 1),
+                planner.pick(elements, window * last_cycle_accurate),
                 ExecutionMode::CycleAccurate,
                 "dims {dims}: {last_cycle_accurate} images"
             );
             assert_eq!(
-                planner.pick(elements, window * (last_cycle_accurate + 1), 1),
+                planner.pick(elements, window * (last_cycle_accurate + 1)),
                 ExecutionMode::Behavioral,
                 "dims {dims}: {} images",
                 last_cycle_accurate + 1
@@ -257,22 +224,22 @@ mod tests {
     #[test]
     fn lane_compression_keeps_big_batches_cycle_accurate() {
         let planner = AutoPlanner::measured();
-        // A 64-query batch on a mid-size board: 64 windows at the width-1
-        // price blow the budget, but one full-width lane pass (1/64 of the
-        // cycles at 4.8× per-cycle cost) stays well inside it.
+        // A 64-query batch on a mid-size board: 64 windows blow the budget,
+        // but one full-width lane pass streams 1/64 of the cycles at the same
+        // per-cycle price and stays well inside it.
         let board = 36_224;
         let lane_cycles = 2_000u64;
         assert_eq!(
-            planner.pick(board, 64 * lane_cycles, 1),
+            planner.pick(board, 64 * lane_cycles),
             ExecutionMode::Behavioral
         );
         assert_eq!(
-            planner.pick(board, lane_cycles, MAX_LANES),
+            planner.pick(board, lane_cycles),
             ExecutionMode::CycleAccurate
         );
         // Truly huge lane runs still fall back.
         assert_eq!(
-            planner.pick(board, u64::MAX >> 16, MAX_LANES),
+            planner.pick(board, u64::MAX >> 16),
             ExecutionMode::Behavioral
         );
     }

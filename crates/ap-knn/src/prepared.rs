@@ -289,22 +289,16 @@ impl PreparedBoards {
 
     /// Clamps a requested fan-out width to the number of workers that each get
     /// at least [`MIN_WORKER_FANOUT_S`] of estimated simulation work for
-    /// `lane_cycles_per_image` cycles at `width` occupied lanes on every
-    /// image. Only the engine uses this; [`crate::scheduler::PreparedSchedule`]
-    /// models explicit boards and keeps its requested worker count.
-    pub(crate) fn gated_workers(
-        &self,
-        lane_cycles_per_image: u64,
-        width: usize,
-        workers: usize,
-    ) -> usize {
+    /// `lane_cycles_per_image` cycles on every image. Only the engine uses
+    /// this; [`crate::scheduler::PreparedSchedule`] models explicit boards and
+    /// keeps its requested worker count.
+    pub(crate) fn gated_workers(&self, lane_cycles_per_image: u64, workers: usize) -> usize {
         if workers <= 1 {
             return workers.max(1);
         }
         let total_s = AutoPlanner::measured().estimated_simulation_s(
             self.board_elements(),
             lane_cycles_per_image * self.partitions.len() as u64,
-            width,
         );
         let useful = (total_s / MIN_WORKER_FANOUT_S) as usize;
         workers.min(useful.max(1))
@@ -606,7 +600,6 @@ impl PreparedEngine {
         // Each 64-query chunk of the batch is one window-length lane pass.
         let lane_passes = queries.len().div_ceil(MAX_LANES);
         let lane_cycles_per_image = layout.window_len() as u64 * lane_passes as u64;
-        let width = queries.len().min(MAX_LANES);
         let mode = match options.execution {
             ExecutionPreference::Auto => {
                 // The planner sees the critical-path cycle count: board
@@ -617,7 +610,6 @@ impl PreparedEngine {
                 self.engine.planner().pick(
                     self.boards.board_elements(),
                     lane_cycles_per_image * critical_configs,
-                    width,
                 )
             }
             ExecutionPreference::CycleAccurate => ExecutionMode::CycleAccurate,
@@ -626,11 +618,9 @@ impl PreparedEngine {
 
         let reports = match mode {
             ExecutionMode::CycleAccurate => {
-                let workers = self.boards.gated_workers(
-                    lane_cycles_per_image,
-                    width,
-                    self.engine.parallelism(),
-                );
+                let workers = self
+                    .boards
+                    .gated_workers(lane_cycles_per_image, self.engine.parallelism());
                 self.boards
                     .search_lanes_into(queries, options, workers, results)?
             }
@@ -696,21 +686,35 @@ mod tests {
 
         // Tiny batches do not amortize a thread spawn: the gate collapses the
         // requested fan-out to a single in-place worker.
-        assert_eq!(boards.gated_workers(0, 1, 8), 1);
-        assert_eq!(boards.gated_workers(10, 1, 8), 1);
+        assert_eq!(boards.gated_workers(0, 8), 1);
+        assert_eq!(boards.gated_workers(10, 8), 1);
 
         // Huge batches pass the requested width straight through.
-        assert_eq!(boards.gated_workers(1_000_000, 1, 8), 8);
+        assert_eq!(boards.gated_workers(1_000_000, 8), 8);
 
         // In between, the width grows with the work estimate but never
         // exceeds the request.
-        let mid = boards.gated_workers(2_000, 1, 8);
+        let mid = boards.gated_workers(2_000, 8);
         assert!((1..=8).contains(&mid));
-        assert!(boards.gated_workers(4_000, 1, 8) >= mid);
+        assert!(boards.gated_workers(4_000, 8) >= mid);
 
         // A serial request is always honored as-is (and zero is clamped up).
-        assert_eq!(boards.gated_workers(1_000_000, 1, 1), 1);
-        assert_eq!(boards.gated_workers(1_000_000, 1, 0), 1);
+        assert_eq!(boards.gated_workers(1_000_000, 1), 1);
+        assert_eq!(boards.gated_workers(1_000_000, 0), 1);
+
+        // apbench's `pipelined_lanes` shape (512×64 at 128 vectors per board,
+        // one 64-wide pass): 4 images × 133 cycles × 10 547 ns ≈ 5.6 ms, two
+        // workers' worth at MIN_WORKER_FANOUT_S whatever the lane width.
+        let wide = PreparedBoards::new(
+            KnnDesign::new(64),
+            &uniform_dataset(512, 64, 74),
+            128,
+            false,
+        )
+        .unwrap();
+        let window = wide.layout().window_len() as u64;
+        assert_eq!(window, 133);
+        assert_eq!(wide.gated_workers(window, 8), 2);
     }
 
     #[test]

@@ -512,14 +512,19 @@ impl ServiceRuntime {
             });
         }
 
+        // Stats and cache are seeded with the backend's status, so a corpus
+        // restored from a WAL reports its generation and replay figures, and
+        // caches results at its generation, before the first mutation.
+        let live = backends[0].live_status();
+        let mut cache = ResultCache::new(config.cache_capacity);
+        if let Some(status) = &live {
+            cache.advance_generation(status.generation);
+        }
         let shared = Arc::new(Shared {
             queue: ScheduledQueue::new(config.queue_capacity),
-            cache: Mutex::new(ResultCache::new(config.cache_capacity)),
-            // Seeded with the backend's status so a corpus restored from a
-            // WAL reports its generation and replay figures before the first
-            // mutation arrives.
+            cache: Mutex::new(cache),
             stats: Mutex::new(ServiceStats {
-                live: backends[0].live_status(),
+                live,
                 ..ServiceStats::default()
             }),
             batch_size: config.batch_size,

@@ -20,19 +20,124 @@
 //! element's eligible lanes are a single indexed load — no per-lane, per-
 //! element mask probing.
 //!
+//! Counters are **bit-sliced**: a slot holds 33 lane words (*planes*), bit
+//! `l` of plane `b` being bit `b` of lane `l`'s value, so one ripple carry of
+//! the enabled-lane word increments every lane at once. Each lane stores
+//! `count + (2^k − threshold)` with `2^k` the smallest power of two at or
+//! above the threshold, which makes the threshold crossing the carry into
+//! plane `k`: a sticky "reached" word per slot, no comparator. The same
+//! representation serves every width. Only counters with a per-cycle
+//! increment cap above 1 and values near `u32` saturation are updated lane by
+//! lane, over the same planes.
+//!
 //! Semantics are bit-identical per lane to [`CompiledNetwork::step_into`]
-//! (and therefore to [`crate::reference::ReferenceSimulator`]): counters keep
-//! 64 independent counts per slot, boolean gates evaluate bitwise across
-//! lanes, and each [`LaneReportEvent`] carries the lane mask of the streams
-//! that reported, sorted by element id within a cycle — demultiplexing the
-//! event stream by lane bit reproduces each stream's scalar run exactly. The
-//! workspace proptest sweep (`tests/compiled_equivalence.rs`) enforces this.
+//! (and therefore to [`crate::reference::ReferenceSimulator`]): counters
+//! count per lane, boolean gates evaluate bitwise across lanes, and each
+//! [`LaneReportEvent`] carries the lane mask of the streams that reported,
+//! sorted by element id within a cycle — demultiplexing the event stream by
+//! lane bit reproduces each stream's scalar run exactly. The workspace
+//! proptest sweep (`tests/compiled_equivalence.rs`) enforces this.
 
 use crate::compiled::CompiledNetwork;
 use crate::element::{BooleanFunction, ElementId};
 
 /// Maximum number of lanes (streams) in one pass: the width of a lane word.
 pub const MAX_LANES: usize = 64;
+
+/// Bit planes per counter slot: a lane stores `count + offset` with
+/// `count ≤ u32::MAX` and `offset < 2^31`, which fits in 33 bits.
+const PLANES: usize = 33;
+/// Planes every increment updates without a branch; a +1 carries past them
+/// one time in 32. Measured on the kNN images (counts up to ~130): 5 beats 3
+/// by ~3 % at width 1 and at width 64, and covering every plane in use
+/// gains nothing more.
+const LOW_PLANES: usize = 5;
+/// The word-parallel +1 serves a slot while every lane is below `2^31`
+/// (`hi ≤ 31`), where `count` cannot reach `u32` saturation; past that the
+/// slot is incremented lane by lane with a saturating add.
+const FAST_HI: u8 = 31;
+
+/// How a counter slot's threshold is folded into its stored values: lanes
+/// hold `count + offset`, `offset = 2^k − threshold`, so `count ≥ threshold`
+/// exactly when the stored value reaches `2^k`.
+#[derive(Clone, Copy, Debug)]
+struct SliceBias {
+    offset: u32,
+    k: u8,
+    /// The `hi` of a freshly reset slot: the planes `offset` occupies, and
+    /// at least the [`LOW_PLANES`] the increment always writes.
+    floor: u8,
+}
+
+impl SliceBias {
+    fn new(threshold: u32) -> Self {
+        let pow = u64::from(threshold).next_power_of_two();
+        let offset = (pow - u64::from(threshold)) as u32;
+        let bits = 32 - offset.leading_zeros();
+        Self {
+            offset,
+            k: pow.trailing_zeros() as u8,
+            floor: bits.max(LOW_PLANES as u32) as u8,
+        }
+    }
+
+    /// Plane `b` of a slot whose every lane holds `offset`.
+    #[inline]
+    fn seed(self, b: usize) -> u64 {
+        0u64.wrapping_sub(u64::from(self.offset) >> b & 1)
+    }
+}
+
+/// Lane `lane`'s stored value (`count + offset`) from a slot's planes.
+fn gather(planes: &[u64], lane: usize) -> u64 {
+    planes
+        .iter()
+        .enumerate()
+        .fold(0, |value, (b, p)| value | (p >> lane & 1) << b)
+}
+
+/// Adds 1 to the lanes of `inc` (every lane below `2^31`) and returns the
+/// lanes whose value crossed `2^k`: the carry into plane `k`.
+#[inline]
+fn increment(planes: &mut [u64], hi: &mut u8, k: u8, inc: u64) -> u64 {
+    let k = k as usize;
+    let mut carry = inc;
+    let mut crossed = 0;
+    for (b, p) in planes[..LOW_PLANES].iter_mut().enumerate() {
+        if b == k {
+            crossed = carry;
+        }
+        let next = *p & carry;
+        *p ^= carry;
+        carry = next;
+    }
+    let mut b = LOW_PLANES;
+    while carry != 0 {
+        if b == k {
+            crossed |= carry;
+        }
+        let next = planes[b] & carry;
+        planes[b] ^= carry;
+        carry = next;
+        b += 1;
+    }
+    *hi = (*hi).max(b as u8);
+    crossed
+}
+
+/// Adds `add` to lane `lane`'s count, saturating at `u32::MAX`, and returns
+/// whether the lane has reached its threshold.
+fn add_lane(planes: &mut [u64], hi: &mut u8, bias: SliceBias, lane: usize, add: u32) -> bool {
+    let offset = u64::from(bias.offset);
+    let count = (gather(&planes[..*hi as usize], lane) - offset) as u32;
+    let value = u64::from(count.saturating_add(add)) + offset;
+    *hi = (*hi).max((64 - value.leading_zeros()) as u8);
+    let bit = 1u64 << lane;
+    for (b, p) in planes[..*hi as usize].iter_mut().enumerate() {
+        *p = *p & !bit | 0u64.wrapping_sub(value >> b & 1) & bit;
+    }
+    value >> bias.k != 0
+}
 
 /// One group of a lane-stream cycle: the lanes presenting `symbol`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,10 +309,11 @@ pub struct LaneReportEvent {
 /// Mutable lane-parallel execution state over a [`CompiledNetwork`].
 ///
 /// The lane analogue of [`crate::CompiledState`]: every per-element bit
-/// becomes a `u64` lane word, every per-counter scalar becomes 64 independent
-/// per-lane values. Obtain via [`CompiledNetwork::new_lane_state`] and reuse
-/// across networks via [`CompiledNetwork::recycle_lane_state`].
-#[derive(Clone, Debug)]
+/// becomes a `u64` lane word, and every counter count becomes 33 bit-sliced
+/// lane words (see the module docs). Obtain via
+/// [`CompiledNetwork::new_lane_state`] and reuse across networks via
+/// [`CompiledNetwork::recycle_lane_state`].
+#[derive(Clone, Debug, Default)]
 pub struct LaneState {
     /// Per-element lane words active on the previous cycle.
     prev: Vec<u64>,
@@ -217,17 +323,26 @@ pub struct LaneState {
     cur: Vec<u64>,
     /// Elements with a nonzero `cur` word.
     cur_list: Vec<u32>,
-    /// Per-lane counter counts: slot-major, `slot * 64 + lane`.
-    counts: Vec<u32>,
+    /// Bit-sliced counter values, [`PLANES`] words per slot: bit `l` of
+    /// plane `b` is bit `b` of lane `l`'s `count + offset`.
+    planes: Vec<u64>,
+    /// Per slot: planes that may hold a set bit in some lane; every plane
+    /// at or above it is zero, so resets write only the planes below.
+    hi: Vec<u8>,
+    /// Per slot: lanes at or past the threshold, sticky until reset — the
+    /// carry into plane `k`. Thresholds are at least 1 (validation refuses
+    /// 0), so a lane is reached only by an increment: this word is also the
+    /// pulse-mode "already fired" set and the latch-mode "held" set.
+    reached: Vec<u64>,
+    /// Per slot: the threshold folded into the stored values, kept here so
+    /// [`Self::reset`] can re-seed the planes.
+    bias: Vec<SliceBias>,
     /// Per-lane enable pulse counts, slot-major — allocated only when some
-    /// counter has `max_increment_per_cycle > 1`; otherwise the enable lane
-    /// word alone determines the increment (0 or 1).
+    /// counter has `max_increment_per_cycle > 1`, and filled only for those
+    /// slots; elsewhere the enable lane word alone is the increment.
     pulses: Vec<u32>,
-    /// Pulse-mode "already fired" lane words, by counter slot.
-    fired: Vec<u64>,
-    /// Latch-mode "at or past threshold" lane words, by counter slot.
-    latched: Vec<u64>,
-    /// Slots with a nonzero `latched` word (pruned lazily each cycle).
+    /// Latch-mode slots with a nonzero `reached` word (pruned lazily each
+    /// cycle).
     latched_list: Vec<u32>,
     /// Per-cycle enable lane words, by counter slot (zeroed after each cycle).
     enables: Vec<u64>,
@@ -244,38 +359,35 @@ pub struct LaneState {
 }
 
 impl LaneState {
-    fn new(n: usize, counters: usize, exact_pulses: bool, classes: usize) -> Self {
-        Self {
-            prev: vec![0; n],
-            prev_list: Vec::new(),
-            cur: vec![0; n],
-            cur_list: Vec::new(),
-            counts: vec![0; counters * MAX_LANES],
-            pulses: vec![
-                0;
-                if exact_pulses {
-                    counters * MAX_LANES
-                } else {
-                    0
-                }
-            ],
-            fired: vec![0; counters],
-            latched: vec![0; counters],
-            latched_list: Vec::new(),
-            enables: vec![0; counters],
-            resets: vec![0; counters],
-            touched: Vec::new(),
-            cls_match: vec![0; classes],
-            width_mask: 0,
-            cycle: 0,
-        }
-    }
-
     /// Clears all run state (activations, counters, cycle count).
     ///
-    /// Frontier words are cleared sparsely through the active lists; only the
-    /// per-counter vectors are bulk-filled.
+    /// Frontier words are cleared sparsely through the active lists and each
+    /// counter slot re-seeds only the planes in use; the other per-counter
+    /// vectors are bulk-filled.
     pub fn reset(&mut self) {
+        self.clear_frontier();
+        for (c, &bias) in self.bias.iter().enumerate() {
+            let hi = &mut self.hi[c];
+            let planes = &mut self.planes[c * PLANES..(c + 1) * PLANES];
+            for (b, p) in planes[..(*hi).max(bias.floor) as usize]
+                .iter_mut()
+                .enumerate()
+            {
+                *p = bias.seed(b);
+            }
+            *hi = bias.floor;
+        }
+        self.reached.fill(0);
+        self.pulses.fill(0);
+        self.latched_list.clear();
+        self.enables.fill(0);
+        self.resets.fill(0);
+        self.touched.clear();
+        self.cycle = 0;
+    }
+
+    /// Zeroes the frontier words sparsely through the active lists.
+    fn clear_frontier(&mut self) {
         for &e in &self.prev_list {
             self.prev[e as usize] = 0;
         }
@@ -284,15 +396,6 @@ impl LaneState {
             self.cur[e as usize] = 0;
         }
         self.cur_list.clear();
-        self.counts.fill(0);
-        self.pulses.fill(0);
-        self.fired.fill(0);
-        self.latched.fill(0);
-        self.latched_list.clear();
-        self.enables.fill(0);
-        self.resets.fill(0);
-        self.touched.clear();
-        self.cycle = 0;
     }
 
     /// Whether element `index` was active in lane `lane` on the most recently
@@ -347,12 +450,9 @@ where
 impl CompiledNetwork {
     /// Creates a fresh lane execution state for this network.
     pub fn new_lane_state(&self) -> LaneState {
-        LaneState::new(
-            self.n,
-            self.cnt_elem.len(),
-            self.cnt_max_inc.iter().any(|&m| m > 1),
-            self.class_masks.len(),
-        )
+        let mut st = LaneState::default();
+        self.recycle_lane_state(&mut st);
+        st
     }
 
     /// Adapts `st` — possibly last used with a *different* compiled network —
@@ -361,32 +461,31 @@ impl CompiledNetwork {
     /// [`CompiledNetwork::recycle_state`], and the pooled-serving entry point
     /// for the lane path.
     pub fn recycle_lane_state(&self, st: &mut LaneState) {
-        st.reset();
-        st.prev.clear();
+        // Resizing keeps old contents: the frontier words are zero once the
+        // active lists are cleared, and the counter planes at or above each
+        // slot's `hi` are zero, so the closing `reset` re-seeds the rest.
+        st.clear_frontier();
         st.prev.resize(self.n, 0);
-        st.cur.clear();
         st.cur.resize(self.n, 0);
         let counters = self.cnt_elem.len();
-        st.counts.clear();
-        st.counts.resize(counters * MAX_LANES, 0);
+        st.planes.resize(counters * PLANES, 0);
+        st.hi.resize(counters, 0);
+        st.reached.resize(counters, 0);
+        st.bias.clear();
+        st.bias
+            .extend(self.cnt_threshold.iter().map(|&t| SliceBias::new(t)));
         let exact = self.cnt_max_inc.iter().any(|&m| m > 1);
-        st.pulses.clear();
         st.pulses
             .resize(if exact { counters * MAX_LANES } else { 0 }, 0);
-        st.fired.clear();
-        st.fired.resize(counters, 0);
-        st.latched.clear();
-        st.latched.resize(counters, 0);
-        st.enables.clear();
         st.enables.resize(counters, 0);
-        st.resets.clear();
         st.resets.resize(counters, 0);
-        st.cls_match.clear();
         st.cls_match.resize(self.class_masks.len(), 0);
+        st.reset();
     }
 
     /// Per-lane internal count of the counter at `element`, if that element
-    /// is a counter.
+    /// is a counter: the lane's bits gathered from the planes, less the
+    /// slot's offset.
     pub fn lane_counter_count(
         &self,
         state: &LaneState,
@@ -397,7 +496,9 @@ impl CompiledNetwork {
         if slot == crate::compiled::NO_SLOT {
             None
         } else {
-            Some(state.counts[slot as usize * MAX_LANES + (lane & 63)])
+            let slot = slot as usize;
+            let planes = &state.planes[slot * PLANES..(slot + 1) * PLANES];
+            Some((gather(planes, lane & 63) - u64::from(state.bias[slot].offset)) as u32)
         }
     }
 
@@ -488,7 +589,7 @@ impl CompiledNetwork {
                             st.touched.push(payload as u32);
                         }
                         st.enables[payload] |= src;
-                        if exact_pulses {
+                        if exact_pulses && self.cnt_max_inc[payload] > 1 {
                             let base = payload * MAX_LANES;
                             let mut lanes = src;
                             while lanes != 0 {
@@ -509,7 +610,8 @@ impl CompiledNetwork {
             }
         }
 
-        // Phase 3: counters whose ports saw a pulse this cycle, lane by lane.
+        // Phase 3: counters whose ports saw a pulse this cycle, every lane at
+        // once on the bit planes.
         let touched = std::mem::take(&mut st.touched);
         for &c in &touched {
             let c = c as usize;
@@ -517,49 +619,50 @@ impl CompiledNetwork {
             let rs = st.resets[c];
             st.enables[c] = 0;
             st.resets[c] = 0;
-            let elem = self.cnt_elem[c];
-            let threshold = self.cnt_threshold[c];
-            let max_inc = self.cnt_max_inc[c];
-            let latch = self.cnt_latch[c];
-            let base = c * MAX_LANES;
-            let latched_before = st.latched[c];
-            let mut lanes = en | rs;
-            while lanes != 0 {
-                let l = lanes.trailing_zeros() as usize;
-                let bit = 1u64 << l;
-                lanes &= lanes - 1;
-                if rs & bit != 0 {
-                    st.counts[base + l] = 0;
-                    st.fired[c] &= !bit;
-                    st.latched[c] &= !bit;
-                    if exact_pulses {
-                        st.pulses[base + l] = 0;
-                    }
-                } else {
-                    let inc = if exact_pulses {
-                        let p = st.pulses[base + l];
-                        st.pulses[base + l] = 0;
-                        p.min(max_inc)
+            let bias = st.bias[c];
+            let planes = &mut st.planes[c * PLANES..(c + 1) * PLANES];
+            let hi = &mut st.hi[c];
+            let reached_before = st.reached[c];
+            if rs != 0 {
+                // Reset lanes return to `offset`; planes at or above `hi`
+                // are already zero in every lane.
+                for (b, p) in planes[..*hi as usize].iter_mut().enumerate() {
+                    *p = *p & !rs | bias.seed(b) & rs;
+                }
+                st.reached[c] &= !rs;
+            }
+            let inc = en & !rs;
+            let exact = exact_pulses && self.cnt_max_inc[c] > 1;
+            if exact || (*hi > FAST_HI && inc != 0) {
+                // Per-lane pulse counts, or values nearing u32 saturation:
+                // one lane at a time over the same planes. Pulses of reset
+                // lanes are drained too.
+                let mut lanes = if exact { en } else { inc };
+                while lanes != 0 {
+                    let l = lanes.trailing_zeros() as usize;
+                    lanes &= lanes - 1;
+                    let add = if exact {
+                        std::mem::take(&mut st.pulses[c * MAX_LANES + l]).min(self.cnt_max_inc[c])
                     } else {
                         1
                     };
-                    st.counts[base + l] = st.counts[base + l].saturating_add(inc);
-                }
-                // Sampled for reset lanes too: a zero-threshold counter is
-                // "reached" even on the cycle that resets it.
-                let reached = st.counts[base + l] >= threshold;
-                if latch {
-                    if reached {
-                        activate!(elem, bit);
-                        st.latched[c] |= bit;
+                    if inc >> l & 1 == 1 && add_lane(planes, hi, bias, l, add) {
+                        st.reached[c] |= 1 << l;
                     }
-                } else if reached && st.fired[c] & bit == 0 {
-                    st.fired[c] |= bit;
-                    activate!(elem, bit);
                 }
+            } else if inc != 0 {
+                st.reached[c] |= increment(planes, hi, bias.k, inc);
             }
-            if latched_before == 0 && st.latched[c] != 0 {
-                st.latched_list.push(c as u32);
+            // Thresholds are at least 1, so a lane is reached only by an
+            // increment and only a reset clears it: a pulse counter fires
+            // on the lanes that crossed this cycle, and a latch counter holds
+            // every reached lane (activated below with the held ones).
+            if self.cnt_latch[c] {
+                if reached_before == 0 && st.reached[c] != 0 {
+                    st.latched_list.push(c as u32);
+                }
+            } else {
+                activate!(self.cnt_elem[c], st.reached[c] & !reached_before);
             }
         }
         let mut touched = touched;
@@ -569,9 +672,9 @@ impl CompiledNetwork {
         // Latch-mode counters stay active without new pulses until reset.
         if !st.latched_list.is_empty() {
             let mut latched_list = std::mem::take(&mut st.latched_list);
-            latched_list.retain(|&c| st.latched[c as usize] != 0);
+            latched_list.retain(|&c| st.reached[c as usize] != 0);
             for &c in &latched_list {
-                activate!(self.cnt_elem[c as usize], st.latched[c as usize]);
+                activate!(self.cnt_elem[c as usize], st.reached[c as usize]);
             }
             st.latched_list = latched_list;
         }
@@ -690,6 +793,220 @@ mod tests {
             .into_iter()
             .map(|r| (r.element.index(), r.code, r.offset))
             .collect()
+    }
+
+    /// Steps `streams` (one per lane) a cycle at a time on `st`, checking
+    /// every lane after every cycle against its own reference stepper:
+    /// report events, activations and every counter's count.
+    fn assert_tracks_reference(
+        net: &AutomataNetwork,
+        compiled: &CompiledNetwork,
+        st: &mut LaneState,
+        streams: &[Vec<u8>],
+    ) {
+        let mut refs: Vec<ReferenceSimulator<'_>> = streams
+            .iter()
+            .map(|_| ReferenceSimulator::new(net).unwrap())
+            .collect();
+        let counters: Vec<ElementId> = net
+            .elements()
+            .iter()
+            .filter(|e| e.is_counter())
+            .map(|e| e.id)
+            .collect();
+        let mut events = Vec::new();
+        for t in 0..streams[0].len() {
+            let column: Vec<&[u8]> = streams.iter().map(|s| &s[t..=t]).collect();
+            events.clear();
+            compiled.run_lanes_into(st, &LaneStream::from_streams(&column), &mut events);
+            let per_lane = demux(&events, streams.len());
+            for (l, reference) in refs.iter_mut().enumerate() {
+                let expected: Vec<_> = reference
+                    .step(streams[l][t])
+                    .into_iter()
+                    .map(|r| (r.element.index(), r.code, r.offset))
+                    .collect();
+                assert_eq!(per_lane[l], expected, "lane {l} cycle {t} reports");
+                for id in 0..net.len() {
+                    assert_eq!(
+                        st.is_active(id, l),
+                        reference.is_active(ElementId(id)),
+                        "lane {l} cycle {t} element {id}"
+                    );
+                }
+                for &c in &counters {
+                    assert_eq!(
+                        compiled.lane_counter_count(st, c.index(), l),
+                        reference.counter_value(c).ok(),
+                        "lane {l} cycle {t} counter {}",
+                        c.index()
+                    );
+                }
+            }
+        }
+    }
+
+    /// 64 lanes of symbols over `e` (enable), `r` (reset), `b` (both) and
+    /// `x` (idle); lane `l` resets at a lane-dependent rate, so some lanes
+    /// count far past their thresholds and others restart often.
+    fn counter_streams(seed: u64, len: usize) -> Vec<Vec<u8>> {
+        let mut x = seed | 1;
+        (0..MAX_LANES)
+            .map(|l| {
+                (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        match (x % 100) as usize {
+                            p if p < (l % 5) * 4 => b'r',
+                            p if p < (l % 5) * 4 + 5 => b'b',
+                            p if p < (l % 5) * 4 + 5 + (l % 3) * 10 => b'x',
+                            _ => b'e',
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slice_bias_folds_the_threshold_into_plane_k() {
+        // (threshold, k, offset): the stored value reaches 2^k exactly when
+        // the count reaches the threshold; at reset (count 0) it is below.
+        for (threshold, k, offset) in [
+            (1u32, 0u8, 0u32),
+            (4, 2, 0),
+            (5, 3, 3),
+            (0x8000_0002, 32, 0x7FFF_FFFE),
+            (u32::MAX, 32, 1),
+        ] {
+            let bias = SliceBias::new(threshold);
+            assert_eq!((bias.k, bias.offset), (k, offset), "threshold {threshold}");
+            assert!(u64::from(offset) < 1 << k);
+            assert!(bias.floor as usize >= LOW_PLANES);
+        }
+        // Threshold 0 (reached with no increment) never reaches the planes:
+        // validation refuses it.
+        let mut net = AutomataNetwork::new();
+        let s = net.add_ste("s", SymbolClass::any(), StartKind::AllInput, None);
+        let c = net.add_counter("c", 0, CounterMode::Pulse, Some(1));
+        net.connect_port(s, c, ConnectPort::CountEnable).unwrap();
+        assert!(CompiledNetwork::compile(&net).is_err());
+    }
+
+    #[test]
+    fn lane_by_lane_adds_saturate_at_u32_max() {
+        let bias = SliceBias::new(5);
+        let mut planes = [0u64; PLANES];
+        let mut hi = bias.floor;
+        for (b, p) in planes.iter_mut().enumerate() {
+            *p = bias.seed(b);
+        }
+        assert!(!add_lane(&mut planes, &mut hi, bias, 7, 4));
+        assert!(add_lane(&mut planes, &mut hi, bias, 7, u32::MAX - 6));
+        assert_eq!(
+            gather(&planes, 7) - u64::from(bias.offset),
+            u64::from(u32::MAX) - 2
+        );
+        assert!(add_lane(&mut planes, &mut hi, bias, 7, 5));
+        assert_eq!(
+            gather(&planes, 7) - u64::from(bias.offset),
+            u64::from(u32::MAX)
+        );
+        assert_eq!(hi as usize, PLANES);
+        // The other lanes still hold the bare offset.
+        assert_eq!(gather(&planes, 6), u64::from(bias.offset));
+
+        // Through the step: a lane preset two short of saturation takes the
+        // lane-by-lane path and clips, while its neighbours count normally.
+        let mut net = AutomataNetwork::new();
+        let s = net.add_ste("s", SymbolClass::any(), StartKind::AllInput, None);
+        let c = net.add_counter("c", 5, CounterMode::Latch, Some(1));
+        net.connect_port(s, c, ConnectPort::CountEnable).unwrap();
+        let compiled = CompiledNetwork::compile(&net).unwrap();
+        let mut st = compiled.new_lane_state();
+        add_lane(
+            &mut st.planes[..PLANES],
+            &mut st.hi[0],
+            st.bias[0],
+            3,
+            u32::MAX - 2,
+        );
+        let stream = LaneStream::from_streams(&[&b"xxxx"[..]; 4]);
+        compiled.run_lanes_into(&mut st, &stream, &mut Vec::new());
+        assert_eq!(
+            compiled.lane_counter_count(&st, c.index(), 3),
+            Some(u32::MAX)
+        );
+        assert_eq!(compiled.lane_counter_count(&st, c.index(), 0), Some(3));
+    }
+
+    #[test]
+    fn bit_sliced_counters_match_reference_at_full_width() {
+        let mut net = AutomataNetwork::new();
+        let inc = net.add_ste("inc", SymbolClass::of(b"eb"), StartKind::AllInput, None);
+        let inc2 = net.add_ste("inc2", SymbolClass::of(b"e"), StartKind::AllInput, None);
+        let inc3 = net.add_ste("inc3", SymbolClass::of(b"eb"), StartKind::AllInput, None);
+        let rst = net.add_ste("rst", SymbolClass::of(b"rb"), StartKind::AllInput, None);
+        // Threshold 1 (k = 0), a power of two (offset 0), a non-power latch,
+        // a capped multi-enable latch, one whose values pass 2^31 after two
+        // increments so it is updated lane by lane from then on, and two
+        // whose crossing carries beyond the branch-free low planes.
+        let counters = [
+            net.add_counter("t1", 1, CounterMode::Pulse, Some(1)),
+            net.add_counter("t4", 4, CounterMode::Pulse, Some(4)),
+            net.add_counter("t5", 5, CounterMode::Latch, Some(5)),
+            net.add_counter_with_increment("t6x3", 6, CounterMode::Latch, Some(6), 3),
+            net.add_counter("big", 0x8000_0002, CounterMode::Pulse, Some(7)),
+            net.add_counter("t32", 32, CounterMode::Pulse, Some(32)),
+            net.add_counter("t40", 40, CounterMode::Latch, Some(40)),
+        ];
+        for &c in &counters {
+            // `b` drives enable and reset on the same cycle.
+            net.connect_port(inc, c, ConnectPort::CountEnable).unwrap();
+            net.connect_port(rst, c, ConnectPort::CountReset).unwrap();
+        }
+        net.connect_port(inc2, counters[3], ConnectPort::CountEnable)
+            .unwrap();
+        net.connect_port(inc3, counters[3], ConnectPort::CountEnable)
+            .unwrap();
+        let after = net.add_ste("after", SymbolClass::any(), StartKind::None, Some(9));
+        net.connect(counters[1], after).unwrap();
+        let compiled = CompiledNetwork::compile(&net).unwrap();
+
+        // Lanes that rarely reset count past 32: carries run beyond the
+        // branch-free low planes, well above k.
+        let mut st = compiled.new_lane_state();
+        assert_tracks_reference(&net, &compiled, &mut st, &counter_streams(11, 64));
+        assert!(st.hi[0] as usize > LOW_PLANES, "t1 counted past 32");
+        assert!(
+            st.reached[5] != 0 && st.reached[6] != 0,
+            "t32 and t40 crossed"
+        );
+
+        // `reset` re-seeds every slot's offset.
+        st.reset();
+        assert_tracks_reference(&net, &compiled, &mut st, &counter_streams(12, 40));
+
+        // So does recycling through a network whose same slots carry other
+        // thresholds and increments.
+        let mut other = AutomataNetwork::new();
+        let s = other.add_ste("s", SymbolClass::any(), StartKind::AllInput, None);
+        for (i, threshold) in [3u32, 2, 9, 33, 7, 1].into_iter().enumerate() {
+            let c = other.add_counter(
+                format!("o{i}"),
+                threshold,
+                CounterMode::Latch,
+                Some(i as u32),
+            );
+            other.connect_port(s, c, ConnectPort::CountEnable).unwrap();
+        }
+        let other_compiled = CompiledNetwork::compile(&other).unwrap();
+        other_compiled.recycle_lane_state(&mut st);
+        assert_tracks_reference(&other, &other_compiled, &mut st, &counter_streams(13, 40));
+        compiled.recycle_lane_state(&mut st);
+        assert_tracks_reference(&net, &compiled, &mut st, &counter_streams(14, 40));
     }
 
     #[test]

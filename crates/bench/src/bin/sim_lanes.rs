@@ -5,8 +5,10 @@
 //! `⌈W/64⌉ × window_len` cycles. This bench measures how much of that 64×
 //! symbol compression survives the heavier per-cycle work (64-bit lane words
 //! per element instead of a sparse frontier) at widths 1, 8, and 64, and
-//! asserts in-binary that full lanes beat the degenerate single-lane run —
-//! the invariant CI holds the lane path to.
+//! asserts in-binary that full lanes deliver at least half of the ideal 64×
+//! over the degenerate single-lane run — the invariant CI holds the lane path
+//! to. Bit-sliced counters read 58–63× full and 53–61× quick; per-lane
+//! counters read 11–14× and fail it.
 //!
 //! Records merge into `BENCH_sim.json` under the `sim_lanes` experiment, next
 //! to (not clobbering) the `sim_throughput` section. Pass `--quick` for the
@@ -22,9 +24,9 @@ use std::time::Instant;
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (vectors, dims, vectors_per_board, reps) = if quick {
-        (64, 32, 16, 2)
+        (64, 32, 16, 5)
     } else {
-        (256, 64, 64, 3)
+        (256, 64, 64, 5)
     };
 
     let data = uniform_dataset(vectors, dims, 7);
@@ -105,8 +107,8 @@ fn main() {
     ));
     println!("lane-64 vs lane-1: {:.1}x", lane64 / lane1);
     assert!(
-        lane64 >= lane1,
-        "full lanes must not be slower than a single lane ({lane64:.0} vs {lane1:.0} sym/s)"
+        lane64 >= 32.0 * lane1,
+        "full lanes must be at least 32x a single lane ({lane64:.0} vs {lane1:.0} sym/s)"
     );
 
     merge_records_into_file("BENCH_sim.json", &records).expect("merge BENCH_sim.json");

@@ -246,14 +246,15 @@ proptest! {
         );
     }
 
-    /// Lane-core bit identity: up to 8 independent random symbol streams run
+    /// Lane-core bit identity: up to 64 independent random symbol streams run
     /// as bit-planes of one lane pass must reproduce — per lane — exactly the
     /// reference stepper's report events, final activations, and counter
-    /// values on the same random networks the scalar sweep covers.
+    /// values on the same random networks the scalar sweep covers. Widths up
+    /// to a full word exercise carries across every lane bit.
     #[test]
     fn lane_core_equals_reference_per_lane(
         seed in proptest::prelude::any::<u64>(),
-        width in 1usize..9,
+        width in 1usize..=64,
         len in 0usize..40,
     ) {
         let net = random_network(seed);

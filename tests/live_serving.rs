@@ -177,6 +177,52 @@ fn a_runtime_over_a_restored_corpus_reports_the_restore_before_any_mutation() {
 }
 
 #[test]
+fn a_runtime_over_a_restored_corpus_caches_before_any_mutation() {
+    // The regression: the result cache started at generation 0 while the
+    // restored corpus stood at 4, so every offer was refused as stale and
+    // the cache stayed cold until the first mutation.
+    let dir = std::env::temp_dir().join(format!("ap-live-serving-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = || ApKnnEngine::new(KnnDesign::new(DIMS));
+    let config = || LiveConfig::default().with_background(false);
+    let wal = || WalConfig::default().with_checkpoint_every(None);
+
+    let data = uniform_dataset(12, DIMS, 722);
+    let live = LiveEngine::durable(engine(), &data, config(), wal(), &dir).expect("durable");
+    for vector in uniform_queries(3, DIMS, 723) {
+        live.insert(&vector).expect("acked insert");
+    }
+    live.delete(1).expect("acked delete");
+    drop(live);
+
+    let (restored, _) = LiveEngine::restore(engine(), config(), wal(), &dir).expect("restore");
+    let runtime = ServiceRuntime::try_shared(
+        RuntimeConfig::default()
+            .with_workers(0)
+            .with_cache_capacity(16)
+            .with_options(QueryOptions::top(3)),
+        Arc::new(LiveBackend::from_engine(Arc::new(restored))),
+    )
+    .expect("runtime");
+
+    let query = uniform_queries(1, DIMS, 724).pop().unwrap();
+    let first = runtime.try_submit(query.clone()).expect("first submit");
+    runtime.poll();
+    let first = first.wait().expect("first answer");
+    let second = runtime.try_submit(query).expect("second submit");
+    runtime.poll();
+    let second = second.wait().expect("second answer");
+    assert_eq!(first.neighbors, second.neighbors);
+
+    let metrics = runtime.stats().metrics();
+    assert_eq!(metrics.count("mutations.submitted"), Some(0));
+    assert_eq!(metrics.count("cache.misses"), Some(1));
+    assert_eq!(metrics.count("cache.hits"), Some(1));
+    drop(runtime);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stalled_server_surfaces_as_a_typed_timeout_not_a_hang() {
     // A listener that accepts and then never answers: the old client blocked
     // in read() forever; the timeout-bounded client must fail typed, fast.
