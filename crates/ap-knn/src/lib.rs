@@ -46,7 +46,8 @@
 //!   write-ahead log, checkpoint images, crash recovery with torn-tail
 //!   truncation, and a deterministic crash-fault-injection harness;
 //! * [`plan`] — the frontier-aware auto execution planner (cycle-accurate vs
-//!   behavioural from fabric size × stream length, calibrated on `BENCH_sim.json`).
+//!   behavioural from fabric size × stream length, with the fitted cost table in
+//!   its module docs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -12,8 +12,11 @@
 //! (the high-fidelity default), behavioural once the estimated simulation time
 //! would blow that budget.
 //!
-//! The cost model is calibrated against the workspace's own measurements in
-//! `BENCH_sim.json` (the `sim_throughput` bench, full mode, 1-core container):
+//! The cost model was fitted to the compiled core's throughput as measured by
+//! since-retired `sim_throughput` bench when the planner was introduced (full
+//! mode, 1-core container). Re-fitting it against the served workloads is
+//! `apbench`'s job (`benchmark/`); until then the table below is the
+//! calibration:
 //!
 //! | shape | board elements | measured symbols/sec | ns per symbol |
 //! |---|---|---|---|
@@ -41,7 +44,7 @@ pub const NS_PER_ELEMENT_SYMBOL: f64 = 0.48;
 pub const DEFAULT_BUDGET_S: f64 = 0.25;
 
 /// Picks an [`ExecutionMode`] from fabric size × stream length using the
-/// measured `BENCH_sim.json` cost model.
+/// measured cost model (see the module docs for its calibration).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct AutoPlanner {
     /// Fixed per-symbol cost of the compiled core, in nanoseconds.
@@ -60,8 +63,8 @@ impl Default for AutoPlanner {
 }
 
 impl AutoPlanner {
-    /// The planner calibrated from the committed `BENCH_sim.json` measurements
-    /// with the default budget.
+    /// The planner calibrated from the module docs' fit table with the
+    /// default budget.
     pub fn measured() -> Self {
         Self {
             base_ns_per_symbol: BASE_NS_PER_SYMBOL,
@@ -136,7 +139,7 @@ mod tests {
     #[test]
     fn measured_model_reproduces_the_bench_points_roughly() {
         let planner = AutoPlanner::measured();
-        // (board elements, measured ns/symbol) from BENCH_sim.json, full mode.
+        // (board elements, measured ns/symbol) from the module docs' fit table.
         for (elements, measured_ns) in [
             (1_344usize, 2_342.0f64),
             (18_432, 11_485.0),
@@ -192,7 +195,7 @@ mod tests {
     fn width_one_batches_are_priced_as_one_scalar_window_per_image() {
         // A width-1 lane cycle is priced at the fitted scalar ns/symbol, so
         // Auto's crossover for a single query sits where the scalar pricing
-        // puts it. For each BENCH_sim.json shape, `last_cycle_accurate` is
+        // puts it. For each fit-table shape, `last_cycle_accurate` is
         // the largest critical-path image count that fits the budget:
         // 0.25 s ÷ ((1 700 + 0.48 · elements) ns × window).
         let planner = AutoPlanner::measured();

@@ -85,8 +85,8 @@ pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(30);
 ///   stashed and served later).
 /// * **Pipelined**: call [`Self::submit`] repeatedly to put many queries in
 ///   flight on one connection, then collect answers in completion order with
-///   [`Self::recv_completion`] — this is how the `serve_network` bench keeps
-///   the server's queue full from a single socket.
+///   [`Self::recv_completion`] — this is how `apbench`'s `pipelined_lanes`
+///   workload keeps the server's queue full from a single socket.
 pub struct ApClient {
     stream: TcpStream,
     frames: FrameBuffer,

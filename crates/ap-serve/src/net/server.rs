@@ -7,7 +7,7 @@ use crate::runtime::{ServiceRuntime, TicketHandle, TicketResult};
 use crate::stats::ServiceStats;
 use binvec::{Mutation, SearchError};
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -17,6 +17,10 @@ use std::time::Duration;
 /// shutdown. Bounds shutdown latency; completions themselves are waker-driven
 /// and never wait on this tick.
 const POLL_TICK: Duration = Duration::from_millis(20);
+
+/// How long `shutdown` waits on each of its two wake connects to its own
+/// listener before giving up on the accept thread.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
 
 /// Read chunk size for connection readers.
 const READ_CHUNK: usize = 16 * 1024;
@@ -65,10 +69,9 @@ impl ApServer {
                  serving it over the network needs at least one worker",
             ));
         }
+        // A blocking accept: a new connection is taken the moment it
+        // arrives. `shutdown` wakes it with a connection of its own.
         let listener = TcpListener::bind(addr)?;
-        // Nonblocking accept + poll tick: std has no accept timeout, and a
-        // blocked accept would make shutdown wait for one more client.
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -82,8 +85,14 @@ impl ApServer {
             std::thread::Builder::new()
                 .name("ap-net-accept".to_string())
                 .spawn(move || {
-                    while !shutdown.load(Ordering::Acquire) {
-                        match listener.accept() {
+                    loop {
+                        let accept = listener.accept();
+                        if shutdown.load(Ordering::Acquire) {
+                            // The shutdown wake, or a client that raced it:
+                            // either way the server no longer serves.
+                            break;
+                        }
+                        match accept {
                             Ok((stream, _peer)) => {
                                 accepted.fetch_add(1, Ordering::Relaxed);
                                 let runtime = Arc::clone(&runtime);
@@ -98,9 +107,8 @@ impl ApServer {
                                     .expect("connection registry")
                                     .push(handle);
                             }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(POLL_TICK);
-                            }
+                            // Transient accept failures (out of descriptors,
+                            // an aborted handshake): back off, then retry.
                             Err(_) => std::thread::sleep(POLL_TICK),
                         }
                     }
@@ -139,6 +147,13 @@ impl ApServer {
     /// itself is left running — it belongs to the caller.
     ///
     /// Returns the runtime's statistics snapshot at shutdown.
+    ///
+    /// The accept loop blocks in `accept()`, so shutdown wakes it by
+    /// connecting to the listener itself, trying twice with a 100 ms
+    /// timeout each. If both connects fail (the address filters
+    /// them, or the backlog is full), the accept thread is left behind
+    /// rather than joined: until the next connection reaches it, it keeps
+    /// the port bound and holds its reference to the runtime.
     pub fn shutdown(mut self) -> ServiceStats {
         self.shutdown_impl();
         self.runtime.stats()
@@ -147,7 +162,11 @@ impl ApServer {
     fn shutdown_impl(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
+            let wake = wake_addr(self.local_addr);
+            let woken = (0..2).any(|_| TcpStream::connect_timeout(&wake, WAKE_TIMEOUT).is_ok());
+            if woken {
+                let _ = handle.join();
+            }
         }
         let handles: Vec<JoinHandle<()>> =
             std::mem::take(&mut *self.connections.lock().expect("connection registry"));
@@ -161,6 +180,19 @@ impl Drop for ApServer {
     fn drop(&mut self) {
         self.shutdown_impl();
     }
+}
+
+/// Where `shutdown` connects to wake the accept loop: the listening address,
+/// with an unspecified IP (`0.0.0.0`, `::`) replaced by loopback.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let mut addr = local;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// What the reader hands the writer for one admitted submission.

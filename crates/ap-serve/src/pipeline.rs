@@ -140,8 +140,8 @@ impl BackendSpec {
 
     /// The AP engine with the frontier-aware auto planner: cycle-accurate vs
     /// behavioural is picked per run from fabric size × stream length using
-    /// the measured `BENCH_sim.json` crossover. Results are bit-identical
-    /// either way.
+    /// the crossover of [`ap_knn::plan::AutoPlanner`]'s fitted cost model.
+    /// Results are bit-identical either way.
     pub fn auto() -> Self {
         Self::Ap {
             mode: None,

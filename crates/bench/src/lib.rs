@@ -96,37 +96,6 @@ fn format_json_f64(x: f64) -> String {
     }
 }
 
-/// Writes `records` into the JSON-array bench file at `path`, *replacing* any
-/// previous records of the same experiments while preserving every other
-/// experiment's records — so `serve_amortized` and `serve_concurrent` can both
-/// maintain their own section of `BENCH_serve.json` regardless of run order.
-///
-/// The file format is the one this crate writes: a JSON array with exactly one
-/// record object per line (see [`ExperimentRecord::to_json`]), which makes the
-/// merge a line-level operation — no JSON parser needed in the offline build.
-pub fn merge_records_into_file(path: &str, records: &[ExperimentRecord]) -> std::io::Result<()> {
-    use std::collections::HashSet;
-    let replacing: HashSet<&str> = records.iter().map(|r| r.experiment.as_str()).collect();
-    let mut kept: Vec<String> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(path) {
-        for line in existing.lines() {
-            let record = line.trim().trim_end_matches(',');
-            if !record.starts_with('{') {
-                continue; // array brackets / blank lines
-            }
-            let replaced = replacing
-                .iter()
-                .any(|e| record.contains(&format!("\"experiment\":{}", json_string(e))));
-            if !replaced {
-                kept.push(record.to_string());
-            }
-        }
-    }
-    kept.extend(records.iter().map(|r| r.to_json()));
-    let body: Vec<String> = kept.iter().map(|r| format!("  {r}")).collect();
-    std::fs::write(path, format!("[\n{}\n]\n", body.join(",\n")))
-}
-
 /// Prints records as JSON lines when `--json` was passed on the command line.
 pub fn maybe_emit_json(records: &[ExperimentRecord]) {
     if std::env::args().any(|a| a == "--json") {
@@ -168,35 +137,6 @@ mod tests {
         assert_eq!((s.dims, s.dataset_size, s.k), (256, 512, 16));
         let l = large_job(Workload::WordEmbed);
         assert_eq!((l.dims, l.dataset_size), (64, 1 << 20));
-    }
-
-    #[test]
-    fn merge_replaces_own_experiment_and_keeps_others() {
-        let dir = std::env::temp_dir().join(format!("bench-merge-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_test.json");
-        let path = path.to_str().unwrap();
-
-        let a1 = vec![ExperimentRecord::new("alpha", "x", "ms", 1.0, None)];
-        let b1 = vec![
-            ExperimentRecord::new("beta", "y", "ms", 2.0, None),
-            ExperimentRecord::new("beta", "z", "ms", 3.0, None),
-        ];
-        merge_records_into_file(path, &a1).unwrap();
-        merge_records_into_file(path, &b1).unwrap();
-        let contents = std::fs::read_to_string(path).unwrap();
-        assert!(contents.contains("\"experiment\":\"alpha\""));
-        assert_eq!(contents.matches("\"experiment\":\"beta\"").count(), 2);
-
-        // Re-running alpha replaces only alpha's records.
-        let a2 = vec![ExperimentRecord::new("alpha", "x", "ms", 9.0, None)];
-        merge_records_into_file(path, &a2).unwrap();
-        let contents = std::fs::read_to_string(path).unwrap();
-        assert_eq!(contents.matches("\"experiment\":\"alpha\"").count(), 1);
-        assert!(contents.contains("\"reproduced\":9.0"));
-        assert!(!contents.contains("\"reproduced\":1.0"));
-        assert_eq!(contents.matches("\"experiment\":\"beta\"").count(), 2);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!     --workers 4 --vectors 4096 --dims 64 --backend behavioral
 //! ```
 //!
-//! Talk to it with [`ApClient`] (see `examples/network_serving.rs`) or the
-//! `serve_network` bench.
+//! Talk to it with [`ApClient`] (see `examples/network_serving.rs`); `apbench`
+//! (`benchmark/`) measures it end to end.
 
 use ap_similarity::prelude::*;
 

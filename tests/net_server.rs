@@ -511,3 +511,31 @@ fn binding_a_zero_worker_runtime_is_refused_not_left_to_hang() {
     runtime.poll();
     assert_eq!(handle.wait().expect("served inline").neighbors.len(), 5);
 }
+
+#[test]
+fn a_server_nobody_connected_to_shuts_down_and_joins() {
+    // The accept loop blocks in accept(); shutdown must wake it itself. An
+    // unspecified bind address is woken over loopback. Joined means the
+    // listener is closed and the accept thread's runtime reference is gone.
+    for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let runtime = linear_runtime(16, 20, 1, 64);
+        let server = ApServer::bind(addr, Arc::clone(&runtime)).expect("bind");
+        let bound = server.local_addr();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let shutting_down = std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{addr}: shutdown never joined the accept loop"));
+        shutting_down.join().expect("shutdown thread");
+        assert_eq!(
+            Arc::strong_count(&runtime),
+            1,
+            "{addr}: runtime still shared"
+        );
+        std::net::TcpListener::bind(bound)
+            .unwrap_or_else(|e| panic!("{addr}: port {} still bound: {e}", bound.port()));
+    }
+}
