@@ -84,6 +84,6 @@ pub use lanes::encode_lane_planes_into;
 pub use live::{LiveConfig, LiveEngine, LiveStatus};
 pub use plan::{AutoPlanner, ExecutionPlanner};
 pub use prepared::{PoolStats, PreparedEngine};
-pub use scheduler::{ParallelApScheduler, PipelineModel, PreparedSchedule, ScheduleStats};
+pub use scheduler::{ParallelApScheduler, PipelineModel, ScheduleStats};
 pub use stream::StreamLayout;
 pub use wal::{FaultPlan, RestoreReport, WalConfig, WalError, WalGauges};

@@ -11,8 +11,8 @@
 //! it. Board images are compiled lazily on the first cycle-accurate batch
 //! (behavioural-only traffic never builds a network at all).
 //!
-//! [`crate::scheduler::PreparedSchedule`] reuses the same cached image set for
-//! the multi-board parallel schedule.
+//! [`crate::scheduler::ParallelApScheduler`] runs the same fan-out over a
+//! transient image set to model the multi-board parallel schedule.
 
 use crate::builder::PartitionNetwork;
 use crate::decode::merge_lane_reports_into;
@@ -169,8 +169,8 @@ fn drain_into(accumulators: &mut [TopK], options: &QueryOptions, results: &mut V
     }
 }
 
-/// The shared partition + board-image cache behind [`PreparedEngine`] and
-/// [`crate::scheduler::PreparedSchedule`].
+/// The partition + board-image cache behind [`PreparedEngine`] (and the
+/// transient one behind [`crate::scheduler::ParallelApScheduler`]).
 #[derive(Clone, Debug)]
 pub(crate) struct PreparedBoards {
     design: KnnDesign,
@@ -290,8 +290,8 @@ impl PreparedBoards {
     /// Clamps a requested fan-out width to the number of workers that each get
     /// at least [`MIN_WORKER_FANOUT_S`] of estimated simulation work for
     /// `lane_cycles_per_image` cycles on every image. Only the engine uses
-    /// this; [`crate::scheduler::PreparedSchedule`] models explicit boards and
-    /// keeps its requested worker count.
+    /// this; [`crate::scheduler::ParallelApScheduler`] models explicit boards
+    /// and keeps its requested worker count.
     pub(crate) fn gated_workers(&self, lane_cycles_per_image: u64, workers: usize) -> usize {
         if workers <= 1 {
             return workers.max(1);
@@ -312,7 +312,7 @@ impl PreparedBoards {
     }
 
     /// The one cycle-accurate batch path, behind both [`PreparedEngine`] and
-    /// [`crate::scheduler::PreparedSchedule`] (so the two stay bit-identical
+    /// [`crate::scheduler::ParallelApScheduler`] (so the two stay bit-identical
     /// by construction): encodes the validated batch as lane passes, streams
     /// them through every cached board image over up to `workers` scoped
     /// threads, and drains the merged per-query top-k into `results`. Returns

@@ -22,9 +22,9 @@
 
 use crate::capacity::BoardCapacity;
 use crate::design::KnnDesign;
-use crate::prepared::{contiguous_assignment, PoolStats, PreparedBoards};
+use crate::prepared::{contiguous_assignment, PreparedBoards};
 use ap_sim::TimingModel;
-use binvec::{BinaryDataset, BinaryVector, Neighbor, QueryOptions, SearchError};
+use binvec::{BinaryDataset, BinaryVector, Neighbor, QueryOptions};
 use serde::{Deserialize, Serialize};
 
 /// Statistics from one parallel scheduled run.
@@ -62,7 +62,6 @@ pub struct ParallelApScheduler {
     design: KnnDesign,
     capacity: BoardCapacity,
     workers: usize,
-    strict_analysis: bool,
 }
 
 impl ParallelApScheduler {
@@ -73,15 +72,7 @@ impl ParallelApScheduler {
             capacity: BoardCapacity::paper_calibrated(design.dims),
             design,
             workers: 4,
-            strict_analysis: false,
         }
-    }
-
-    /// Enables strict static analysis of every compiled board image (see
-    /// [`crate::engine::ApKnnEngine::with_strict_analysis`]).
-    pub fn with_strict_analysis(mut self, strict: bool) -> Self {
-        self.strict_analysis = strict;
-        self
     }
 
     /// Overrides the number of worker threads (simulated boards).
@@ -110,34 +101,16 @@ impl ParallelApScheduler {
         self.workers
     }
 
-    /// Binds this schedule to `data`, partitioning it into board images once.
-    /// The returned [`PreparedSchedule`] caches the partitioning and (on first
-    /// use) the compiled board images, so repeated batches stream without
-    /// rebuilding any network.
-    ///
-    /// # Errors
-    /// [`SearchError::ZeroDims`] for a zero-dimension design and
-    /// [`SearchError::DimMismatch`] when the dataset disagrees with it.
-    pub fn prepare(&self, data: &BinaryDataset) -> Result<PreparedSchedule, SearchError> {
-        Ok(PreparedSchedule {
-            boards: PreparedBoards::new(
-                self.design,
-                data,
-                self.capacity.vectors_per_board,
-                self.strict_analysis,
-            )?,
-            scheduler: self.clone(),
-        })
-    }
-
     /// Searches `queries` against `data` with every partition simulated cycle-
     /// accurately, distributing partitions over the worker threads and merging the
     /// per-query top-k results on the host.
     ///
     /// The results are identical to [`crate::engine::ApKnnEngine::try_search_batch`]
-    /// in cycle-accurate mode; only the execution schedule differs. Each call is a
-    /// transient preparation (the board images are rebuilt); use [`Self::prepare`]
-    /// to amortize that across batches.
+    /// in cycle-accurate mode; only the execution schedule differs. The stream
+    /// runs through the same fan-out the engine serves with; the statistics
+    /// are a pure function of the contiguous partition-to-worker assignment:
+    /// on the modeled device each worker (board) streams the whole batch, one
+    /// window per query, once per image it owns.
     ///
     /// # Panics
     /// Panics if dataset or query dimensionality differs from the design, or `k` is 0.
@@ -147,82 +120,20 @@ impl ParallelApScheduler {
         queries: &[BinaryVector],
         k: usize,
     ) -> (Vec<Vec<Neighbor>>, ScheduleStats) {
-        let run = self
-            .prepare(data)
-            .and_then(|prepared| prepared.try_search_batch(queries, &QueryOptions::top(k)));
-        match run {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
-}
-
-/// A [`ParallelApScheduler`] bound to a dataset with its board images cached —
-/// created by [`ParallelApScheduler::prepare`].
-#[derive(Clone, Debug)]
-pub struct PreparedSchedule {
-    scheduler: ParallelApScheduler,
-    boards: PreparedBoards,
-}
-
-impl PreparedSchedule {
-    /// The scheduler configuration this preparation was made with.
-    pub fn scheduler(&self) -> &ParallelApScheduler {
-        &self.scheduler
-    }
-
-    /// Vectors served.
-    pub fn len(&self) -> usize {
-        self.boards.dataset_len()
-    }
-
-    /// Whether the prepared dataset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.boards.dataset_len() == 0
-    }
-
-    /// Dimensionality of the served vectors.
-    pub fn dims(&self) -> usize {
-        self.boards.design().dims
-    }
-
-    /// Whether the board images have been built and compiled yet (they are
-    /// compiled by the first non-empty batch).
-    pub fn is_compiled(&self) -> bool {
-        self.boards.is_compiled()
-    }
-
-    /// Searches `queries` across the cached board images, distributing them
-    /// over the configured workers and merging per-query top-k on the host.
-    /// Semantics (results and [`ScheduleStats`]) are identical to
-    /// [`ParallelApScheduler::search_batch`]; only the per-call board-image
-    /// construction cost is gone. The distance bound and `k` of `options`
-    /// apply; the execution preference is ignored (the schedule is inherently
-    /// cycle-accurate).
-    ///
-    /// # Errors
-    /// [`SearchError::ZeroK`] / [`SearchError::ZeroDistanceBound`] for invalid
-    /// options, [`SearchError::DimMismatch`] for mis-sized queries, and
-    /// [`SearchError::Backend`] if a partition network fails validation.
-    pub fn try_search_batch(
-        &self,
-        queries: &[BinaryVector],
-        options: &QueryOptions,
-    ) -> Result<(Vec<Vec<Neighbor>>, ScheduleStats), SearchError> {
-        let stream_len = self.boards.validate_batch(queries, options)?;
+        let options = QueryOptions::top(k);
         let mut results = Vec::new();
-        let reports = self.boards.search_lanes_into(
-            queries,
-            options,
-            self.scheduler.workers,
-            &mut results,
-        )?;
-        // The schedule's shape is a pure function of the contiguous assignment
-        // the fan-out executes: on the modeled device each worker (board)
-        // streams the whole batch, one window per query, once per image it
-        // owns. An empty batch reports the same shape with zero symbols.
-        let partitions = self.boards.partitions().len();
-        let partitions_per_worker = contiguous_assignment(partitions, self.scheduler.workers);
+        let run = PreparedBoards::new(self.design, data, self.capacity.vectors_per_board, false)
+            .and_then(|boards| {
+                let stream_len = boards.validate_batch(queries, &options)?;
+                let reports =
+                    boards.search_lanes_into(queries, &options, self.workers, &mut results)?;
+                Ok((boards.partitions().len(), stream_len, reports))
+            });
+        let (partitions, stream_len, reports) = match run {
+            Ok(run) => run,
+            Err(e) => panic!("{e}"),
+        };
+        let partitions_per_worker = contiguous_assignment(partitions, self.workers);
         let stats = ScheduleStats {
             partitions,
             workers_used: partitions_per_worker.len().max(1),
@@ -233,13 +144,7 @@ impl PreparedSchedule {
             partitions_per_worker,
             reports,
         };
-        Ok((results, stats))
-    }
-
-    /// Statistics of the shared execution-scratch pool (see
-    /// [`crate::PreparedEngine::pool_stats`]).
-    pub fn pool_stats(&self) -> PoolStats {
-        self.boards.pool().stats()
+        (results, stats)
     }
 }
 
@@ -380,41 +285,14 @@ mod tests {
     }
 
     #[test]
-    fn prepared_schedule_matches_transient_runs_across_batches() {
-        let dims = 12;
-        let data = uniform_dataset(40, dims, 23);
-        let scheduler = ParallelApScheduler::new(KnnDesign::new(dims))
-            .with_capacity(tiny_capacity(7))
-            .with_workers(3);
-        let prepared = scheduler.prepare(&data).unwrap();
-        assert_eq!(prepared.len(), 40);
-        assert_eq!(prepared.dims(), dims);
-        for round in 0..3 {
-            let queries = uniform_queries(3, dims, 24 + round);
-            let expected = scheduler.search_batch(&data, &queries, 4);
-            let got = prepared
-                .try_search_batch(&queries, &binvec::QueryOptions::top(4))
-                .unwrap();
-            assert_eq!(got, expected, "round {round}");
-        }
-    }
-
-    #[test]
-    fn prepared_schedule_empty_batch_builds_nothing() {
+    fn empty_batch_reports_the_streamed_schedule_shape() {
         let dims = 8;
         let data = uniform_dataset(20, dims, 29);
         let scheduler = ParallelApScheduler::new(KnnDesign::new(dims))
             .with_capacity(tiny_capacity(6))
             .with_workers(2);
-        let prepared = scheduler.prepare(&data).unwrap();
-        let (results, stats) = prepared
-            .try_search_batch(&[], &binvec::QueryOptions::top(3))
-            .unwrap();
+        let (results, stats) = scheduler.search_batch(&data, &[], 3);
         assert!(results.is_empty());
-        assert!(
-            !prepared.is_compiled(),
-            "empty batch must not compile images"
-        );
         assert_eq!(stats.reports, 0);
         assert!(stats.symbols_per_worker.iter().all(|&s| s == 0));
         // The schedule shape matches what a streamed run reports.
@@ -427,34 +305,6 @@ mod tests {
             stats.symbols_per_worker.len(),
             streamed.symbols_per_worker.len()
         );
-    }
-
-    #[test]
-    fn prepared_schedule_reports_typed_errors() {
-        let scheduler = ParallelApScheduler::new(KnnDesign::new(8));
-        let data = uniform_dataset(6, 8, 25);
-        let prepared = scheduler.prepare(&data).unwrap();
-        let narrow = uniform_queries(1, 4, 26);
-        assert_eq!(
-            prepared
-                .try_search_batch(&narrow, &binvec::QueryOptions::top(2))
-                .unwrap_err(),
-            SearchError::DimMismatch {
-                expected: 8,
-                actual: 4
-            }
-        );
-        assert_eq!(
-            prepared
-                .try_search_batch(&[], &binvec::QueryOptions::top(0))
-                .unwrap_err(),
-            SearchError::ZeroK
-        );
-        let wide = uniform_dataset(4, 16, 27);
-        assert!(matches!(
-            scheduler.prepare(&wide),
-            Err(SearchError::DimMismatch { .. })
-        ));
     }
 
     #[test]

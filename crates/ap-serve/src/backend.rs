@@ -2,15 +2,14 @@
 //!
 //! A backend is an engine *bound to its dataset*: the service hands it nothing
 //! but queries. Every engine in the workspace fits behind [`SimilarityBackend`]
-//! — the paper's AP engine, the multi-board scheduler, the Jaccard variant,
-//! the host-side baselines and approximate indexes, and the indexed
-//! host/AP split of §III-D.
+//! — the paper's AP engine, the Jaccard variant, the host-side baselines and
+//! approximate indexes, and the indexed host/AP split of §III-D.
 
 use ap_knn::engine::ApRunStats;
 use ap_knn::indexed::{IndexedApEngine, IndexedDataAccess};
 use ap_knn::jaccard::JaccardSearcher;
 use ap_knn::live::LiveStatus;
-use ap_knn::{ApKnnEngine, KnnDesign, ParallelApScheduler, PreparedEngine, PreparedSchedule};
+use ap_knn::{ApKnnEngine, KnnDesign, PreparedEngine};
 use baselines::{BucketIndex, SearchIndex};
 use binvec::{BinaryDataset, BinaryVector, MutAck, Mutation, Neighbor, QueryOptions, SearchError};
 
@@ -23,9 +22,6 @@ pub struct BackendBatch {
     pub ap_symbol_cycles: u64,
     /// Partial reconfigurations performed (0 for host-only backends).
     pub reconfigurations: u64,
-    /// Symbol cycles per simulated board, when the backend executes on several
-    /// (empty for single-board and host-only backends).
-    pub shard_cycles: Vec<u64>,
     /// Full engine run statistics, when the backend is the paper's AP engine
     /// (`None` for backends with their own accounting shapes).
     pub run_stats: Option<ApRunStats>,
@@ -43,8 +39,8 @@ impl BackendBatch {
 
 /// A kNN engine bound to its dataset, ready to serve query batches.
 ///
-/// Implementations must be [`Send`] + [`Sync`] so sharded deployments can fan
-/// batches out to per-shard backends on scoped threads.
+/// Implementations must be [`Send`] + [`Sync`] so one backend can be shared by
+/// every worker of a [`crate::ServiceRuntime`].
 pub trait SimilarityBackend: Send + Sync {
     /// Human-readable backend label for reports.
     fn name(&self) -> String;
@@ -141,8 +137,8 @@ pub trait SimilarityBackend: Send + Sync {
     }
 }
 
-/// Boxed trait objects serve exactly like the backend they wrap, so sharded
-/// deployments and the pipeline builder can mix backend families freely.
+/// Boxed trait objects serve exactly like the backend they wrap, so the
+/// pipeline builder and the runtime can hold any backend family.
 impl SimilarityBackend for Box<dyn SimilarityBackend> {
     fn name(&self) -> String {
         self.as_ref().name()
@@ -290,86 +286,7 @@ impl SimilarityBackend for ApEngineBackend {
             results,
             ap_symbol_cycles: stats.charged_cycles,
             reconfigurations: stats.reconfigurations,
-            shard_cycles: Vec::new(),
             run_stats: Some(stats),
-        })
-    }
-}
-
-/// Multi-board parallel execution via [`ParallelApScheduler`]: each worker
-/// stands in for one board, and the scheduler's per-worker symbol counts feed
-/// the service's per-shard utilization report. Held as a [`PreparedSchedule`]
-/// so the per-board images are built and compiled once, not per batch.
-#[derive(Clone, Debug)]
-pub struct ApSchedulerBackend {
-    prepared: PreparedSchedule,
-}
-
-impl ApSchedulerBackend {
-    /// Binds `scheduler` to `data`, preparing the board-image set.
-    ///
-    /// # Errors
-    /// [`SearchError::DimMismatch`] if the dataset dimensionality differs from
-    /// the scheduler design's.
-    pub fn try_new(
-        scheduler: ParallelApScheduler,
-        data: BinaryDataset,
-    ) -> Result<Self, SearchError> {
-        Ok(Self {
-            prepared: scheduler.prepare(&data)?,
-        })
-    }
-
-    /// The wrapped scheduler configuration.
-    pub fn scheduler(&self) -> &ParallelApScheduler {
-        self.prepared.scheduler()
-    }
-
-    /// The prepared board-image set answering this backend's batches.
-    pub fn prepared(&self) -> &PreparedSchedule {
-        &self.prepared
-    }
-}
-
-impl SimilarityBackend for ApSchedulerBackend {
-    fn name(&self) -> String {
-        format!("ap-scheduler x{}", self.scheduler().workers())
-    }
-
-    fn len(&self) -> usize {
-        self.prepared.len()
-    }
-
-    fn dims(&self) -> usize {
-        self.prepared.dims()
-    }
-
-    fn serve_batch(&self, queries: &[BinaryVector], k: usize) -> BackendBatch {
-        match self.try_serve_batch(queries, &QueryOptions::top(k)) {
-            Ok(batch) => batch,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    fn try_serve_batch(
-        &self,
-        queries: &[BinaryVector],
-        options: &QueryOptions,
-    ) -> Result<BackendBatch, SearchError> {
-        let (results, stats) = self.prepared.try_search_batch(queries, options)?;
-        Ok(BackendBatch {
-            results,
-            ap_symbol_cycles: stats.critical_path_symbols(),
-            // Every worker after the first loads its image concurrently with the
-            // first board's pre-batch load; reconfigurations only happen when a
-            // worker owns several partitions.
-            reconfigurations: stats
-                .partitions_per_worker
-                .iter()
-                .map(|&p| p.saturating_sub(1) as u64)
-                .sum(),
-            shard_cycles: stats.symbols_per_worker.clone(),
-            run_stats: None,
         })
     }
 }
@@ -380,9 +297,8 @@ impl SimilarityBackend for ApSchedulerBackend {
 /// `distance = round((1 − similarity) · 2³⁰)` — a quantization of the Jaccard
 /// *dissimilarity*. Using the similarity itself (rather than the intersection
 /// size) as the distance key keeps the ranking criterion identical between the
-/// searcher's per-partition top-k selection and the service's cross-shard
-/// [`binvec::TopK`] merge, so a sharded Jaccard deployment selects the same
-/// global top-k a single-corpus scan would. The 2³⁰ scale preserves the exact
+/// searcher's per-partition top-k selection and any host-side
+/// [`binvec::TopK`] merge over the distance key. The 2³⁰ scale preserves the exact
 /// similarity order for any dimensionality up to ~16k bits (distinct Jaccard
 /// values of `d`-bit vectors differ by at least `1/(2d)²`).
 #[derive(Clone, Debug)]
@@ -453,7 +369,6 @@ impl SimilarityBackend for JaccardBackend {
             results,
             ap_symbol_cycles: layout.stream_len(queries.len()) * partitions,
             reconfigurations: partitions.saturating_sub(1),
-            shard_cycles: Vec::new(),
             run_stats: None,
         }
     }
@@ -499,7 +414,6 @@ impl<I: BucketIndex + IndexedDataAccess + Send + Sync> SimilarityBackend for Ind
             results,
             ap_symbol_cycles: stats.symbols_streamed,
             reconfigurations: stats.reconfigurations,
-            shard_cycles: Vec::new(),
             run_stats: None,
         }
     }
@@ -543,23 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_backend_reports_per_worker_cycles() {
-        let (data, queries) = fixtures(60, 16);
-        let scheduler = ParallelApScheduler::new(KnnDesign::new(16))
-            .with_capacity(ap_knn::BoardCapacity {
-                vectors_per_board: 10,
-                model: ap_knn::capacity::CapacityModel::PaperCalibrated,
-            })
-            .with_workers(3);
-        let backend = ApSchedulerBackend::try_new(scheduler, data.clone()).unwrap();
-        let batch = backend.serve_batch(&queries, 3);
-        let expected = LinearScan::new(data).search_batch(&queries, 3);
-        assert_eq!(batch.results, expected);
-        assert_eq!(batch.shard_cycles.len(), 3);
-        assert!(batch.shard_cycles.iter().all(|&c| c > 0));
-    }
-
-    #[test]
     fn jaccard_backend_orders_by_decreasing_intersection() {
         let (data, queries) = fixtures(30, 12);
         let backend =
@@ -582,11 +479,6 @@ mod tests {
         let design = KnnDesign::new(8);
         assert_eq!(
             ApEngineBackend::try_new(ApKnnEngine::new(design), data.clone()).unwrap_err(),
-            mismatch
-        );
-        assert_eq!(
-            ApSchedulerBackend::try_new(ParallelApScheduler::new(design), data.clone())
-                .unwrap_err(),
             mismatch
         );
         assert_eq!(

@@ -94,12 +94,6 @@ pub(crate) fn record_dispatch(
             }
             stats.ap_symbol_cycles += batch.ap_symbol_cycles;
             stats.reconfigurations += batch.reconfigurations;
-            if stats.shard_cycles.len() < batch.shard_cycles.len() {
-                stats.shard_cycles.resize(batch.shard_cycles.len(), 0);
-            }
-            for (total, &cycles) in stats.shard_cycles.iter_mut().zip(&batch.shard_cycles) {
-                *total += cycles;
-            }
             if let Some(run) = &batch.run_stats {
                 if run.lane_width > 0 {
                     stats.lane_width = stats.lane_width.max(run.lane_width);

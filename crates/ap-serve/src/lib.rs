@@ -1,4 +1,4 @@
-//! # ap-serve — a sharded, batched query-serving subsystem over the AP kNN engine
+//! # ap-serve — a batched query-serving subsystem over the AP kNN engine
 //!
 //! The paper's engine answers one *batch* of queries at a time: cost is
 //! amortized over the queries sharing a board configuration (§V) and, with
@@ -9,21 +9,18 @@
 //! single-query traffic:
 //!
 //! * [`SimilarityBackend`] — the uniform execution interface. Implemented by
-//!   [`ApEngineBackend`] (the paper's engine bound to its dataset),
-//!   [`ApSchedulerBackend`] (multi-board parallel execution via
-//!   [`ap_knn::ParallelApScheduler`]), [`JaccardBackend`], every
-//!   [`baselines::SearchIndex`] (linear scans and the approximate indexes) via
-//!   a blanket impl, and [`IndexedApBackend`] (host-traverses-index /
-//!   AP-scans-bucket, §III-D).
+//!   [`ApEngineBackend`] (the paper's engine bound to its dataset: a corpus
+//!   larger than one board streams through successive board images, fanned
+//!   out over the engine's workers and merged on the host), [`JaccardBackend`],
+//!   every [`baselines::SearchIndex`] (linear scans and the approximate
+//!   indexes) via a blanket impl, and [`IndexedApBackend`]
+//!   (host-traverses-index / AP-scans-bucket, §III-D).
 //! * [`LiveBackend`] — the mutable-corpus backend over an
 //!   [`ap_knn::LiveEngine`]: epoch-snapshot queries plus insert/delete
 //!   mutations applied through the same admission queue as queries.
-//! * [`ShardedDataset`] / [`ShardedBackend`] — partitions the corpus across N
-//!   simulated boards, fans every batch out to per-shard backends on scoped
-//!   threads, and merges the per-shard top-k on the host — the same merge the
-//!   engine already performs across sequential reconfigurations.
-//! * [`ResultCache`] — an LRU cache keyed by `(query, k)`, so repeated queries
-//!   are answered without touching the fabric.
+//! * [`ResultCache`] — the runtime's LRU cache keyed by the query and every
+//!   result-affecting option, so repeated queries are answered without
+//!   touching the fabric.
 //! * [`ServiceRuntime`] — **the serving front door**: a bounded
 //!   priority/deadline-aware admission queue that coalesces submitted queries
 //!   into batches sized to the engine's multiplexing width
@@ -31,7 +28,7 @@
 //!   ([`binvec::SearchError::QueueFull`]) and deadline shedding
 //!   ([`binvec::SearchError::DeadlineExceeded`]); every ticket resolves
 //!   through its own completion channel, and a [`ServiceStats`] report gives
-//!   throughput, batch-fill ratio, cache hit rate and per-shard utilization.
+//!   throughput, batch-fill ratio and cache hit rate.
 //!   N worker threads, each owning its own backend (worker-owned prepared
 //!   engines), drain the queue — or, with zero workers, the caller does
 //!   through [`ServiceRuntime::poll`], which makes batch formation
@@ -44,36 +41,47 @@
 //!   thread multiplexes thousands of in-flight tickets without per-ticket
 //!   `wait()` calls.
 //! * [`SearchPipeline`] — **the one query API**: a fluent builder
-//!   (`over → metric → backend → sharded → cached → build`) that constructs any
-//!   backend family behind one fallible `query`/`query_batch` interface, with
+//!   (`over → metric → backend → build`) that constructs any backend family
+//!   behind one fallible `query`/`query_batch` interface, with
 //!   [`binvec::QueryOptions`] carrying `k`, the optional §VII distance bound,
 //!   and an execution preference, and every answer returned as a [`Response`]
-//!   with cache/shard provenance.
+//!   with backend provenance. [`SearchPipeline::into_runtime`] hands the
+//!   backend to a [`ServiceRuntime`], which owns batching and the cache.
 //! * [`BackendSpec::from_name`] — stable backend names, so deployments swap
 //!   engine families by configuration.
 //!
 //! ## Quickstart
 //!
 //! ```rust
-//! use ap_serve::{BackendSpec, SearchPipeline};
+//! use ap_serve::{BackendSpec, RuntimeConfig, SearchPipeline};
 //! use binvec::QueryOptions;
 //!
 //! let dims = 32;
 //! let data = binvec::generate::uniform_dataset(256, dims, 1);
 //! let queries = binvec::generate::uniform_queries(20, dims, 2);
 //!
-//! let mut pipeline = SearchPipeline::over(data)
+//! let pipeline = SearchPipeline::over(data)
 //!     .backend(BackendSpec::behavioral())
-//!     .sharded(2)
-//!     .cached(128)
 //!     .build()
 //!     .expect("valid pipeline configuration");
-//!
 //! let responses = pipeline
 //!     .query_batch(&queries, &QueryOptions::top(5))
 //!     .expect("well-formed queries");
 //! assert_eq!(responses.len(), 20);
 //! assert!(responses.iter().all(|r| r.neighbors.len() == 5));
+//!
+//! // The same backend behind the batching runtime, with a 128-entry cache;
+//! // zero workers: this thread drives dispatch with `poll()`.
+//! let config = RuntimeConfig::default()
+//!     .with_workers(0)
+//!     .with_options(QueryOptions::top(5))
+//!     .with_cache_capacity(128);
+//! let runtime = pipeline
+//!     .into_runtime(config)
+//!     .expect("valid runtime configuration");
+//! let ticket = runtime.try_submit(queries[0].clone()).expect("admitted");
+//! runtime.poll();
+//! assert_eq!(ticket.wait().expect("served").neighbors, responses[0].neighbors);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -88,12 +96,10 @@ pub mod net;
 pub mod pipeline;
 pub mod queue;
 pub mod runtime;
-pub mod shard;
 pub mod stats;
 
 pub use backend::{
-    ApEngineBackend, ApSchedulerBackend, BackendBatch, IndexedApBackend, JaccardBackend,
-    SimilarityBackend,
+    ApEngineBackend, BackendBatch, IndexedApBackend, JaccardBackend, SimilarityBackend,
 };
 pub use binvec::{
     Deadline, ExecutionPreference, MutAck, Mutation, MutationOp, Priority, QueryOptions, ResultKey,
@@ -112,5 +118,4 @@ pub use queue::QueryTicket;
 pub use runtime::{
     Completed, FailedQuery, RuntimeConfig, ServiceRuntime, TicketHandle, TicketResult,
 };
-pub use shard::{ShardedBackend, ShardedDataset};
 pub use stats::{MetricEntry, MetricValue, Metrics, ServiceStats};

@@ -83,7 +83,6 @@ impl SimilarityBackend for LiveBackend {
             results,
             ap_symbol_cycles: stats.charged_cycles,
             reconfigurations: stats.reconfigurations,
-            shard_cycles: Vec::new(),
             run_stats: Some(stats),
         })
     }

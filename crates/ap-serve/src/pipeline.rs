@@ -12,35 +12,29 @@
 //! let data = binvec::generate::uniform_dataset(128, 32, 1);
 //! let queries = binvec::generate::uniform_queries(3, 32, 2);
 //!
-//! let mut pipeline = SearchPipeline::over(data)
+//! let pipeline = SearchPipeline::over(data)
 //!     .metric(Metric::Hamming)
 //!     .backend(BackendSpec::behavioral())
-//!     .sharded(2)
-//!     .cached(256)
 //!     .build()
 //!     .unwrap();
 //!
 //! let response = pipeline.query(&queries[0], &QueryOptions::top(4)).unwrap();
 //! assert_eq!(response.neighbors.len(), 4);
-//! assert!(!response.provenance.cache_hit);
+//! assert_eq!(response.provenance.backend, "ap-knn");
 //! ```
 //!
 //! Every call is fallible ([`binvec::SearchError`]), every answer is a
 //! [`Response`] carrying neighbors, optional engine [`ApRunStats`], and
-//! cache/shard provenance, and [`QueryOptions::within`] turns any configured
-//! backend into the ε-bounded range query of §VII.
+//! backend provenance, and [`QueryOptions::within`] turns any configured
+//! backend into the ε-bounded range query of §VII. Caching, admission
+//! batching and worker threads belong to the [`ServiceRuntime`] that
+//! [`SearchPipeline::into_runtime`] hands the backend to.
 
-use crate::backend::{
-    ApEngineBackend, ApSchedulerBackend, IndexedApBackend, JaccardBackend, SimilarityBackend,
-};
-use crate::cache::{ResultCache, MAX_CACHE_CAPACITY};
+use crate::backend::{ApEngineBackend, IndexedApBackend, JaccardBackend, SimilarityBackend};
 use crate::runtime::{RuntimeConfig, ServiceRuntime};
-use crate::shard::{ShardedBackend, ShardedDataset};
 use ap_knn::engine::ApRunStats;
 use ap_knn::indexed::DatasetBackedIndex;
-use ap_knn::{
-    ApKnnEngine, BoardCapacity, ExecutionMode, JaccardSearcher, KnnDesign, ParallelApScheduler,
-};
+use ap_knn::{ApKnnEngine, BoardCapacity, ExecutionMode, JaccardSearcher, KnnDesign};
 use baselines::{
     HierarchicalKMeans, KMeansConfig, KdForest, KdForestConfig, LinearScan, LshConfig, LshIndex,
     ParallelLinearScan,
@@ -102,13 +96,6 @@ pub enum BackendSpec {
         /// Board capacity override (`None` = paper-calibrated for the dims).
         capacity: Option<BoardCapacity>,
     },
-    /// Multi-board parallel execution via [`ParallelApScheduler`].
-    Scheduler {
-        /// Simulated boards (worker threads).
-        boards: usize,
-        /// Board capacity override (`None` = paper-calibrated for the dims).
-        capacity: Option<BoardCapacity>,
-    },
     /// Host-traverses-index / AP-scans-bucket (§III-D).
     Indexed(IndexKind),
     /// A host-only comparison engine.
@@ -149,14 +136,6 @@ impl BackendSpec {
         }
     }
 
-    /// A multi-board scheduler over `boards` simulated boards.
-    pub fn scheduler(boards: usize) -> Self {
-        Self::Scheduler {
-            boards,
-            capacity: None,
-        }
-    }
-
     /// Resolves a stable backend name, so deployments pick the engine family
     /// by configuration:
     ///
@@ -165,7 +144,6 @@ impl BackendSpec {
     /// | `ap` | cycle-accurate single-board AP engine |
     /// | `ap-behavioral` | behavioural AP engine |
     /// | `ap-auto` | AP engine with the frontier-aware auto planner |
-    /// | `ap-scheduler` | four-board [`ParallelApScheduler`] |
     /// | `indexed-kdforest` / `indexed-kmeans` / `indexed-lsh` | §III-D host-index / AP-bucket-scan |
     /// | `linear` / `parallel-linear` | exact CPU scans |
     /// | `kdforest` / `kmeans` / `lsh` | host-only approximate indexes |
@@ -178,7 +156,6 @@ impl BackendSpec {
             ("ap", Self::ap()),
             ("ap-behavioral", Self::behavioral()),
             ("ap-auto", Self::auto()),
-            ("ap-scheduler", Self::scheduler(4)),
             ("indexed-kdforest", Self::Indexed(IndexKind::KdForest)),
             ("indexed-kmeans", Self::Indexed(IndexKind::KMeans)),
             ("indexed-lsh", Self::Indexed(IndexKind::Lsh)),
@@ -208,37 +185,20 @@ impl BackendSpec {
     /// # Errors
     /// [`SearchError::Unsupported`] for metric/backend combinations no engine
     /// serves (only the single-board AP engine implements Jaccard),
-    /// [`SearchError::InvalidConfig`] for zero boards/threads, and any error
-    /// the underlying constructor reports.
+    /// [`SearchError::InvalidConfig`] for a zero board capacity or zero
+    /// threads, and any error the underlying constructor reports.
     pub fn instantiate(
         &self,
         data: &BinaryDataset,
         metric: Metric,
     ) -> Result<Box<dyn SimilarityBackend>, SearchError> {
-        self.instantiate_with_engine_parallelism(data, metric, None)
-    }
-
-    /// Like [`Self::instantiate`], but with an override for the AP engine's
-    /// partition-simulation worker count. The sharded pipeline passes `Some(1)`
-    /// so shard-level and partition-level parallelism do not multiply into
-    /// oversubscription: the shard fan-out already owns the host's cores.
-    pub(crate) fn instantiate_with_engine_parallelism(
-        &self,
-        data: &BinaryDataset,
-        metric: Metric,
-        engine_parallelism: Option<usize>,
-    ) -> Result<Box<dyn SimilarityBackend>, SearchError> {
         let dims = data.dims();
         if dims == 0 {
             return Err(SearchError::ZeroDims);
         }
-        // A zero board capacity is rejected for every capacity-accepting
-        // branch, not silently clamped to 1 by the engines.
+        // A zero board capacity is rejected, not silently clamped to 1 by the
+        // engine.
         if let Self::Ap {
-            capacity: Some(capacity),
-            ..
-        }
-        | Self::Scheduler {
             capacity: Some(capacity),
             ..
         } = *self
@@ -281,26 +241,7 @@ impl BackendSpec {
                 if let Some(capacity) = capacity {
                     engine = engine.with_capacity(capacity);
                 }
-                if let Some(workers) = engine_parallelism {
-                    engine = engine.with_parallelism(workers);
-                }
                 Ok(Box::new(ApEngineBackend::try_new(engine, data.clone())?))
-            }
-            Self::Scheduler { boards, capacity } => {
-                if boards == 0 {
-                    return Err(SearchError::InvalidConfig {
-                        field: "boards",
-                        reason: "the scheduler needs at least one board".to_string(),
-                    });
-                }
-                let mut scheduler = ParallelApScheduler::new(design).with_workers(boards);
-                if let Some(capacity) = capacity {
-                    scheduler = scheduler.with_capacity(capacity);
-                }
-                Ok(Box::new(ApSchedulerBackend::try_new(
-                    scheduler,
-                    data.clone(),
-                )?))
             }
             Self::Indexed(kind) => match kind {
                 IndexKind::KdForest => Ok(Box::new(IndexedApBackend::new(
@@ -356,19 +297,13 @@ impl BackendSpec {
 /// Where an answer came from and what the fabric did for it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Provenance {
-    /// Label of the backend that answered (or would have, for cache hits).
+    /// Label of the backend that answered.
     pub backend: String,
-    /// Whether the answer came straight from the result cache.
-    pub cache_hit: bool,
-    /// Shards the pipeline fans out to (1 = unsharded).
-    pub shards: usize,
     /// AP symbol cycles charged to the dispatched batch this query rode in
-    /// (0 for cache hits and host-only backends).
+    /// (0 for host-only backends).
     pub ap_symbol_cycles: u64,
     /// Partial reconfigurations performed by that batch.
     pub reconfigurations: u64,
-    /// Per-shard symbol cycles of that batch (empty when unsharded).
-    pub shard_cycles: Vec<u64>,
 }
 
 /// One answered query: neighbors plus execution provenance.
@@ -378,10 +313,10 @@ pub struct Response {
     /// optional distance bound.
     pub neighbors: Vec<Neighbor>,
     /// Full engine statistics for the fabric run that answered this query's
-    /// batch, when the backend is the paper's AP engine (`None` for cache
-    /// hits and for backends with their own accounting shapes).
+    /// batch, when the backend is the paper's AP engine (`None` for backends
+    /// with their own accounting shapes).
     pub ap_run: Option<ApRunStats>,
-    /// Cache/shard/backend provenance.
+    /// Backend provenance.
     pub provenance: Provenance,
 }
 
@@ -393,8 +328,6 @@ pub struct SearchPipelineBuilder {
     /// The chosen spec, or why [`SearchPipelineBuilder::backend_named`]
     /// could not resolve one (reported by `build`).
     backend: Result<BackendSpec, SearchError>,
-    shards: usize,
-    cache_capacity: usize,
 }
 
 impl SearchPipelineBuilder {
@@ -417,69 +350,16 @@ impl SearchPipelineBuilder {
         self
     }
 
-    /// Splits the corpus over `shards` simulated boards queried in parallel
-    /// (default 1 = unsharded).
-    pub fn sharded(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Enables an LRU result cache of `capacity` entries (default 0 = off).
-    pub fn cached(mut self, capacity: usize) -> Self {
-        self.cache_capacity = capacity;
-        self
-    }
-
     /// Validates the configuration and constructs the pipeline.
     ///
     /// # Errors
     /// * [`SearchError::ZeroDims`] — the dataset has zero dimensions;
-    /// * [`SearchError::InvalidConfig`] — zero shards, an absurd cache
-    ///   capacity (> [`MAX_CACHE_CAPACITY`]), or an invalid backend spec;
+    /// * [`SearchError::InvalidConfig`] — an invalid backend spec;
     /// * [`SearchError::Unsupported`] — a metric/backend combination no
     ///   engine serves, or an unknown backend name.
     pub fn build(self) -> Result<SearchPipeline, SearchError> {
-        if self.data.dims() == 0 {
-            return Err(SearchError::ZeroDims);
-        }
-        if self.shards == 0 {
-            return Err(SearchError::InvalidConfig {
-                field: "shards",
-                reason: "need at least one shard".to_string(),
-            });
-        }
-        if self.cache_capacity > MAX_CACHE_CAPACITY {
-            return Err(SearchError::InvalidConfig {
-                field: "cache_capacity",
-                reason: format!(
-                    "{} entries exceeds the sanity limit of {MAX_CACHE_CAPACITY}",
-                    self.cache_capacity
-                ),
-            });
-        }
-
-        let spec = self.backend?;
-        let instantiate = |data: &BinaryDataset, engine_parallelism: Option<usize>| {
-            spec.instantiate_with_engine_parallelism(data, self.metric, engine_parallelism)
-        };
-
-        let (backend, shards): (Box<dyn SimilarityBackend>, usize) = if self.shards == 1 {
-            (instantiate(&self.data, None)?, 1)
-        } else {
-            let sharding = ShardedDataset::split(&self.data, self.shards);
-            let shard_count = sharding.shard_count();
-            // Shard workers already fan out across the host's cores; per-shard
-            // engines simulate their board partitions serially so the two levels
-            // of parallelism do not multiply.
-            let sharded: ShardedBackend<Box<dyn SimilarityBackend>> =
-                ShardedBackend::try_build(&sharding, |_, shard| instantiate(shard, Some(1)))?;
-            (Box::new(sharded), shard_count)
-        };
-
         Ok(SearchPipeline {
-            backend,
-            cache: ResultCache::new(self.cache_capacity),
-            shards,
+            backend: self.backend?.instantiate(&self.data, self.metric)?,
             metric: self.metric,
         })
     }
@@ -492,8 +372,6 @@ impl SearchPipelineBuilder {
 /// batching [`ServiceRuntime`] with [`SearchPipeline::into_runtime`].
 pub struct SearchPipeline {
     backend: Box<dyn SimilarityBackend>,
-    cache: ResultCache,
-    shards: usize,
     metric: Metric,
 }
 
@@ -504,8 +382,6 @@ impl SearchPipeline {
             data: dataset,
             metric: Metric::default(),
             backend: Ok(BackendSpec::default()),
-            shards: 1,
-            cache_capacity: 0,
         }
     }
 
@@ -534,143 +410,52 @@ impl SearchPipeline {
         self.backend.dims()
     }
 
-    /// Shards the pipeline fans out to (1 = unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.shards
-    }
-
     /// Answers one query.
     ///
     /// # Errors
     /// Everything [`Self::query_batch`] reports.
-    pub fn query(
-        &mut self,
-        query: &Query,
-        options: &QueryOptions,
-    ) -> Result<Response, SearchError> {
+    pub fn query(&self, query: &Query, options: &QueryOptions) -> Result<Response, SearchError> {
         let mut responses = self.query_batch(std::slice::from_ref(query), options)?;
-        Ok(responses.pop().expect("one response per query"))
+        responses.pop().ok_or_else(|| SearchError::Backend {
+            backend: self.backend_name(),
+            reason: "returned no result for the query".to_string(),
+        })
     }
 
-    /// Answers a batch of queries, one [`Response`] per query in order.
-    ///
-    /// Cache hits are answered without touching the backend; the remaining
-    /// queries are dispatched as one batch. With caching enabled the cache
-    /// stores the unbounded top-`k` answer and the distance bound is applied
-    /// per lookup, so bounded and unbounded queries share entries.
+    /// Answers a batch of queries, one [`Response`] per query in order, in
+    /// one backend dispatch. The distance bound travels into the backend
+    /// (the AP engine applies it inside the run).
     ///
     /// # Errors
     /// [`SearchError::ZeroK`] / [`SearchError::ZeroDistanceBound`] for invalid
     /// options, [`SearchError::DimMismatch`] for mis-sized queries, and any
     /// execution error the backend reports.
     pub fn query_batch(
-        &mut self,
+        &self,
         queries: &[Query],
         options: &QueryOptions,
     ) -> Result<Vec<Response>, SearchError> {
-        options.validate()?;
-        for q in queries {
-            if q.dims() != self.backend.dims() {
-                return Err(SearchError::DimMismatch {
-                    expected: self.backend.dims(),
-                    actual: q.dims(),
-                });
-            }
-        }
-
-        let backend_name = self.backend.name();
-        let caching = self.cache.capacity() > 0;
-        // With the cache in play the stored entry must be the unbounded top-k;
-        // without it the bound travels into the backend (the AP engine applies
-        // it inside the run). The *unbounded* options are also the cache key —
-        // bounded and unbounded lookups share one entry by construction, and
-        // the key still folds in k and the execution preference.
-        let dispatch_options = if caching {
-            options.unbounded()
-        } else {
-            *options
+        let batch = self.backend.try_serve_batch(queries, options)?;
+        let provenance = Provenance {
+            backend: self.backend_name(),
+            ap_symbol_cycles: batch.ap_symbol_cycles,
+            reconfigurations: batch.reconfigurations,
         };
-
-        let mut responses: Vec<Option<Response>> = Vec::with_capacity(queries.len());
-        let mut missed: Vec<usize> = Vec::new();
-        for (i, q) in queries.iter().enumerate() {
-            match self.cache.get(q, &dispatch_options) {
-                Some(mut neighbors) => {
-                    options.clip(&mut neighbors);
-                    responses.push(Some(Response {
-                        neighbors,
-                        ap_run: None,
-                        provenance: Provenance {
-                            backend: backend_name.clone(),
-                            cache_hit: true,
-                            shards: self.shards,
-                            ..Provenance::default()
-                        },
-                    }));
-                }
-                None => {
-                    responses.push(None);
-                    missed.push(i);
-                }
-            }
-        }
-
-        if !missed.is_empty() {
-            // With the cache disabled every query misses, so the caller's
-            // slice is dispatched as-is; only the caching path needs an owned
-            // copy of the missed subset.
-            let batch = if caching {
-                let miss_queries: Vec<Query> = missed.iter().map(|&i| queries[i].clone()).collect();
-                self.backend
-                    .try_serve_batch(&miss_queries, &dispatch_options)?
-            } else {
-                self.backend.try_serve_batch(queries, &dispatch_options)?
-            };
-            if batch.results.len() != missed.len() {
-                return Err(SearchError::Backend {
-                    backend: backend_name,
-                    reason: format!(
-                        "returned {} results for {} queries",
-                        batch.results.len(),
-                        missed.len()
-                    ),
-                });
-            }
-            for (&i, mut neighbors) in missed.iter().zip(batch.results) {
-                if caching {
-                    self.cache
-                        .insert(queries[i].clone(), &dispatch_options, neighbors.clone());
-                    options.clip(&mut neighbors);
-                }
-                responses[i] = Some(Response {
-                    neighbors,
-                    ap_run: batch.run_stats,
-                    provenance: Provenance {
-                        backend: backend_name.clone(),
-                        cache_hit: false,
-                        shards: self.shards,
-                        ap_symbol_cycles: batch.ap_symbol_cycles,
-                        reconfigurations: batch.reconfigurations,
-                        shard_cycles: batch.shard_cycles.clone(),
-                    },
-                });
-            }
-        }
-
-        Ok(responses
+        Ok(batch
+            .results
             .into_iter()
-            .map(|r| r.expect("every query answered"))
+            .map(|neighbors| Response {
+                neighbors,
+                ap_run: batch.run_stats,
+                provenance: provenance.clone(),
+            })
             .collect())
     }
 
     /// Hands the configured backend to a batching [`ServiceRuntime`] front
-    /// door (admission queue, batched dispatch, service statistics), shared by
-    /// all of `config.workers` workers.
-    ///
-    /// Only the backend (including sharding) carries over: the runtime keeps
-    /// its own result cache governed by `config.cache_capacity`, so a
-    /// pipeline-level [`SearchPipelineBuilder::cached`] setting does not
-    /// apply to the runtime.
+    /// door (admission queue, batched dispatch, result cache, service
+    /// statistics), shared by all of `config.workers` workers. The cache is
+    /// sized by [`RuntimeConfig::with_cache_capacity`].
     ///
     /// # Errors
     /// Whatever [`RuntimeConfig::build`] rejects.
@@ -695,7 +480,6 @@ mod tests {
             "ap",
             "ap-behavioral",
             "ap-auto",
-            "ap-scheduler",
             "indexed-kdforest",
             "indexed-kmeans",
             "indexed-lsh",
@@ -717,7 +501,7 @@ mod tests {
         let (data, queries) = fixtures(40, 16);
         let expected = LinearScan::new(data.clone()).search_batch(&queries, 3);
         for name in ["ap-behavioral", "ap-auto", "linear", "parallel-linear"] {
-            let mut pipeline = SearchPipeline::over(data.clone())
+            let pipeline = SearchPipeline::over(data.clone())
                 .backend_named(name)
                 .build()
                 .unwrap();
@@ -747,108 +531,57 @@ mod tests {
     fn default_pipeline_matches_linear_scan() {
         let (data, queries) = fixtures(40, 16);
         let expected = LinearScan::new(data.clone()).search_batch(&queries, 3);
-        let mut pipeline = SearchPipeline::over(data).build().unwrap();
+        let pipeline = SearchPipeline::over(data).build().unwrap();
         assert_eq!(pipeline.backend_name(), "ap-knn");
         let responses = pipeline
             .query_batch(&queries, &QueryOptions::top(3))
             .unwrap();
         for (r, e) in responses.iter().zip(&expected) {
             assert_eq!(&r.neighbors, e);
-            assert!(!r.provenance.cache_hit);
             assert!(r.ap_run.is_some(), "AP engine reports full run stats");
         }
     }
 
     #[test]
     fn cache_hits_carry_provenance_and_identical_neighbors() {
+        // The cache lives in the runtime the pipeline hands its backend to:
+        // a replayed query is answered at admission, with no second dispatch.
         let (data, queries) = fixtures(40, 16);
-        let mut pipeline = SearchPipeline::over(data)
+        let config = RuntimeConfig::default()
+            .with_workers(0)
+            .with_options(QueryOptions::top(4))
+            .with_cache_capacity(64);
+        let runtime = SearchPipeline::over(data)
             .backend(BackendSpec::behavioral())
-            .cached(64)
             .build()
+            .unwrap()
+            .into_runtime(config)
             .unwrap();
-        let first = pipeline.query(&queries[0], &QueryOptions::top(4)).unwrap();
-        let second = pipeline.query(&queries[0], &QueryOptions::top(4)).unwrap();
-        assert!(!first.provenance.cache_hit);
-        assert!(second.provenance.cache_hit);
-        assert_eq!(first.neighbors, second.neighbors);
-        assert!(second.ap_run.is_none(), "cache hits skip the fabric");
-        assert_eq!(second.provenance.ap_symbol_cycles, 0);
-    }
-
-    #[test]
-    fn bounded_query_shares_the_cache_entry_with_unbounded() {
-        let (data, queries) = fixtures(50, 16);
-        let mut pipeline = SearchPipeline::over(data.clone())
-            .backend(BackendSpec::behavioral())
-            .cached(64)
-            .build()
-            .unwrap();
-        let k = data.len();
-        let unbounded = pipeline.query(&queries[0], &QueryOptions::top(k)).unwrap();
-        let bound = unbounded.neighbors[2].distance + 1;
-        let bounded = pipeline
-            .query(&queries[0], &QueryOptions::top(k).within(bound))
-            .unwrap();
-        assert!(
-            bounded.provenance.cache_hit,
-            "bound reuses the cached top-k"
-        );
-        assert!(bounded.neighbors.iter().all(|n| n.distance < bound));
-        let expected: Vec<Neighbor> = unbounded
-            .neighbors
-            .iter()
-            .copied()
-            .filter(|n| n.distance < bound)
-            .collect();
-        assert_eq!(bounded.neighbors, expected);
-    }
-
-    #[test]
-    fn sharded_pipeline_reports_shard_provenance() {
-        let (data, queries) = fixtures(60, 16);
-        let expected = LinearScan::new(data.clone()).search_batch(&queries, 4);
-        let mut pipeline = SearchPipeline::over(data)
-            .backend(BackendSpec::behavioral())
-            .sharded(3)
-            .build()
-            .unwrap();
-        assert_eq!(pipeline.shard_count(), 3);
-        let responses = pipeline
-            .query_batch(&queries, &QueryOptions::top(4))
-            .unwrap();
-        for (r, e) in responses.iter().zip(&expected) {
-            assert_eq!(&r.neighbors, e);
-            assert_eq!(r.provenance.shard_cycles.len(), 3);
-            assert_eq!(r.provenance.shards, 3);
-        }
+        let first = runtime.try_submit(queries[0].clone()).unwrap();
+        runtime.poll();
+        let first = first.wait().unwrap();
+        let second = runtime.try_submit(queries[0].clone()).unwrap().wait();
+        assert_eq!(first.neighbors, second.unwrap().neighbors);
+        let stats = runtime.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
+        assert_eq!(stats.batches_dispatched, 1, "cache hits skip the fabric");
     }
 
     #[test]
     fn build_rejects_invalid_configurations() {
         let data = uniform_dataset(10, 8, 1);
         assert!(matches!(
-            SearchPipeline::over(data.clone()).sharded(0).build(),
-            Err(SearchError::InvalidConfig {
-                field: "shards",
-                ..
-            })
-        ));
-        assert!(matches!(
             SearchPipeline::over(data.clone())
-                .cached(MAX_CACHE_CAPACITY + 1)
+                .backend(BackendSpec::Ap {
+                    mode: None,
+                    capacity: Some(BoardCapacity {
+                        vectors_per_board: 0,
+                        ..BoardCapacity::paper_calibrated(8)
+                    }),
+                })
                 .build(),
             Err(SearchError::InvalidConfig {
-                field: "cache_capacity",
-                ..
-            })
-        ));
-        assert!(matches!(
-            SearchPipeline::over(data.clone())
-                .backend(BackendSpec::scheduler(0))
-                .build(),
-            Err(SearchError::InvalidConfig {
-                field: "boards",
+                field: "capacity",
                 ..
             })
         ));
@@ -867,7 +600,7 @@ mod tests {
     #[test]
     fn query_rejects_mismatched_dims_and_bad_options() {
         let (data, _) = fixtures(20, 16);
-        let mut pipeline = SearchPipeline::over(data)
+        let pipeline = SearchPipeline::over(data)
             .backend(BackendSpec::Baseline(BaselineKind::Linear))
             .build()
             .unwrap();

@@ -1,5 +1,5 @@
-//! Service-level accounting: throughput, batching efficiency, cache behavior,
-//! and per-shard utilization — and the one list of named metrics
+//! Service-level accounting: throughput, batching efficiency and cache
+//! behavior — and the one list of named metrics
 //! ([`ServiceStats::metrics`]) that the wire `Stats` frame, the human report
 //! and the CLIs all render.
 
@@ -244,14 +244,10 @@ pub struct ServiceStats {
     /// Submissions rejected with [`binvec::SearchError::QueueFull`] before a
     /// ticket was minted (not part of [`Self::queries_submitted`]).
     pub queue_full_rejections: u64,
-    /// AP symbol cycles charged across all dispatched batches (critical-path
-    /// cycles for sharded backends).
+    /// AP symbol cycles charged across all dispatched batches.
     pub ap_symbol_cycles: u64,
     /// Partial reconfigurations across all dispatched batches.
     pub reconfigurations: u64,
-    /// Per-shard symbol cycles, summed over batches (empty for unsharded
-    /// backends).
-    pub shard_cycles: Vec<u64>,
     /// Wall-clock time spent inside *successful* backend dispatches. Failed
     /// dispatches accrue [`Self::failed_time`] instead, so
     /// [`Self::busy_throughput_qps`] is not inflated by work that produced no
@@ -335,20 +331,6 @@ impl ServiceStats {
         }
     }
 
-    /// Per-shard utilization: each shard's symbol cycles as a fraction of the
-    /// busiest shard's. Empty for unsharded backends; 1.0 everywhere means a
-    /// perfectly balanced fleet.
-    pub fn shard_utilization(&self) -> Vec<f64> {
-        let max = self.shard_cycles.iter().copied().max().unwrap_or(0);
-        if max == 0 {
-            return vec![0.0; self.shard_cycles.len()];
-        }
-        self.shard_cycles
-            .iter()
-            .map(|&c| c as f64 / max as f64)
-            .collect()
-    }
-
     /// Mean lane occupancy of cycle-accurate batches (1.0 = every pass carried
     /// 64 queries). `None` before the first cycle-accurate batch.
     pub fn lane_fill(&self) -> Option<f64> {
@@ -371,17 +353,9 @@ impl ServiceStats {
         Metrics(entries.collect())
     }
 
-    /// Renders a compact human-readable report: the [`Self::metrics`] list,
-    /// then each shard's load relative to the busiest when sharded.
+    /// Renders a compact human-readable report: the [`Self::metrics`] list.
     pub fn report(&self) -> String {
-        let mut report = self.metrics().to_string();
-        if !self.shard_cycles.is_empty() {
-            report.push_str(" | shard load:");
-            for load in self.shard_utilization() {
-                report.push_str(&format!(" {:.0}%", load * 100.0));
-            }
-        }
-        report
+        self.metrics().to_string()
     }
 }
 
@@ -469,7 +443,6 @@ mod tests {
         assert_eq!(stats.batch_fill_ratio(), None);
         assert_eq!(stats.cache_hit_rate(), None);
         assert_eq!(stats.throughput_qps(), 0.0);
-        assert!(stats.shard_utilization().is_empty());
 
         stats.batch_size = 7;
         stats.batches_dispatched = 2;
@@ -479,18 +452,16 @@ mod tests {
         stats.cache_misses = 10;
         stats.queries_served = 13;
         stats.uptime = Duration::from_secs(2);
-        stats.shard_cycles = vec![100, 50, 0];
 
         assert!((stats.batch_fill_ratio().unwrap() - 10.0 / 14.0).abs() < 1e-12);
         assert!((stats.cache_hit_rate().unwrap() - 3.0 / 13.0).abs() < 1e-12);
         assert!((stats.throughput_qps() - 6.5).abs() < 1e-12);
-        assert_eq!(stats.shard_utilization(), vec![1.0, 0.5, 0.0]);
         let report = stats.report();
         assert!(report.contains("queries.served 13 | "), "{report}");
         assert!(report.contains("batches.dispatched 2 | batches.full 1 | batches.queries 10"));
         assert!(report.contains("batches.fill 0.714"));
         assert!(report.contains("cache.hits 3 | cache.misses 10 | cache.hit_rate 0.231"));
-        assert!(report.ends_with("| shard load: 100% 50% 0%"), "{report}");
+        assert_eq!(report, stats.metrics().to_string());
         assert!(
             !report.contains("submitted") && !report.contains("failed"),
             "zero entries are left out: {report}"

@@ -14,9 +14,8 @@ use std::time::{Duration, Instant};
 /// How the answering engine should execute, when the caller cares.
 ///
 /// The single-board AP engine honours the preference by overriding its
-/// configured execution mode (`ap_knn::ExecutionMode`) per call, including
-/// behind sharded deployments. Engines that are inherently cycle-accurate
-/// (the multi-board scheduler, the Jaccard searcher) and host-only engines
+/// configured execution mode (`ap_knn::ExecutionMode`) per call. Engines
+/// that are inherently cycle-accurate (the Jaccard searcher) and host-only engines
 /// (the CPU baselines and approximate indexes) ignore it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExecutionPreference {
@@ -203,15 +202,6 @@ impl QueryOptions {
         Ok(())
     }
 
-    /// A copy of the options with the distance bound removed.
-    ///
-    /// Caching layers store the unbounded top-`k` answer and re-apply the
-    /// bound per lookup, so a bounded and an unbounded query share one entry.
-    pub fn unbounded(mut self) -> Self {
-        self.within = None;
-        self
-    }
-
     /// Applies the distance bound to a `(distance, id)`-sorted neighbor list,
     /// truncating at the first neighbor at or beyond the bound.
     pub fn clip(&self, neighbors: &mut Vec<Neighbor>) {
@@ -359,17 +349,6 @@ mod tests {
         assert_eq!(same.len(), 1, "no bound leaves the list untouched");
         QueryOptions::top(10).within(7).clip(&mut same);
         assert!(same.is_empty(), "bound is exclusive");
-    }
-
-    #[test]
-    fn unbounded_strips_only_the_bound() {
-        let opts = QueryOptions::top(5)
-            .within(9)
-            .execution(ExecutionPreference::CycleAccurate);
-        let stripped = opts.unbounded();
-        assert_eq!(stripped.k, 5);
-        assert_eq!(stripped.within, None);
-        assert_eq!(stripped.execution, ExecutionPreference::CycleAccurate);
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn main() {
     // 3. All-pairs near-duplicate search on the AP: every document is also a query.
     //    The distance bound makes this a range query — the response contains
     //    exactly the neighbors at Hamming distance <= threshold, no post-filter.
-    let mut pipeline = SearchPipeline::over(dataset)
+    let pipeline = SearchPipeline::over(dataset)
         .metric(Metric::Hamming)
         .backend(BackendSpec::ap())
         .build()

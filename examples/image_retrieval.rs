@@ -62,7 +62,7 @@ fn main() {
     }
 
     // 4a. Exact search on the AP (cycle-accurate simulation) through the pipeline.
-    let mut pipeline = SearchPipeline::over(data.clone())
+    let pipeline = SearchPipeline::over(data.clone())
         .backend(BackendSpec::ap())
         .build()
         .expect("valid pipeline configuration");

@@ -100,7 +100,7 @@ fn main() {
         ("hierarchical k-means", IndexKind::KMeans),
         ("multi-probe LSH", IndexKind::Lsh),
     ] {
-        let mut pipeline = SearchPipeline::over(data.clone())
+        let pipeline = SearchPipeline::over(data.clone())
             .backend(BackendSpec::Indexed(kind))
             .build()
             .expect("valid pipeline configuration");

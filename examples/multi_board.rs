@@ -2,11 +2,12 @@
 //!
 //! The paper's engine drives a single board: load a partition, stream the query
 //! batch, reconfigure, repeat. This example shows the two host-side scheduling
-//! levers provided by `ap_knn::scheduler`:
+//! levers modeled by `ap_knn::scheduler`:
 //!
 //! * spreading partitions over several boards (worker threads running the
 //!   cycle-accurate simulator in parallel) while keeping results bit-identical to
-//!   the single-board engine;
+//!   the single-board engine, and shortening the critical path the slowest
+//!   board streams;
 //! * the double-buffered reconfiguration model, which estimates how much of the
 //!   Gen-1 reconfiguration bottleneck (Table IV) overlap can hide.
 //!
@@ -29,7 +30,7 @@ fn main() {
     let options = QueryOptions::top(k);
 
     // Reference: the sequential single-board engine behind the pipeline.
-    let mut single = SearchPipeline::over(data.clone())
+    let single = SearchPipeline::over(data.clone())
         .backend(BackendSpec::Ap {
             mode: Some(ExecutionMode::CycleAccurate),
             capacity: Some(capacity),
@@ -47,28 +48,22 @@ fn main() {
         stats.board_configurations, stats.reconfigurations, stats.symbols_streamed
     );
 
-    // Multi-board runs: the same builder, a different backend spec.
-    for workers in [1usize, 2, 4] {
-        let mut multi = SearchPipeline::over(data.clone())
-            .backend(BackendSpec::Scheduler {
-                boards: workers,
-                capacity: Some(capacity),
-            })
-            .build()
-            .expect("valid pipeline configuration");
-        let responses = multi
-            .query_batch(&queries, &options)
-            .expect("well-formed queries");
-        for (got, want) in responses.iter().zip(&reference) {
+    // Multi-board runs: the same partitions spread over 1, 2 and 4 boards.
+    for boards in [1usize, 2, 4] {
+        let (results, schedule) = ParallelApScheduler::new(KnnDesign::new(dims))
+            .with_capacity(capacity)
+            .with_workers(boards)
+            .search_batch(&data, &queries, k);
+        for (got, want) in results.iter().zip(&reference) {
             assert_eq!(
-                got.neighbors, want.neighbors,
+                got, &want.neighbors,
                 "parallel schedule must not change results"
             );
         }
         println!(
-            "{workers:>2} board(s) : critical path {:>7} symbols ({} simulated boards), results identical ✔",
-            responses[0].provenance.ap_symbol_cycles,
-            responses[0].provenance.shard_cycles.len().max(1),
+            "{boards:>2} board(s) : critical path {:>7} symbols ({} partitions per board at most), results identical ✔",
+            schedule.critical_path_symbols(),
+            schedule.partitions_per_worker.iter().max().unwrap_or(&0),
         );
     }
 

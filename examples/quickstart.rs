@@ -31,7 +31,7 @@ fn main() {
     let cpu_results = cpu.search_batch(&queries, k);
 
     // 3. The Automata Processor engine behind the one query API.
-    let mut pipeline = SearchPipeline::over(data.clone())
+    let pipeline = SearchPipeline::over(data.clone())
         .metric(Metric::Hamming)
         .backend(BackendSpec::ap())
         .build()

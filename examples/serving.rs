@@ -1,7 +1,7 @@
 //! End-to-end tour of the `ap-serve` serving subsystem.
 //!
-//! Part 1 builds a corpus, shards it across four simulated AP boards, stands
-//! up a zero-worker `ServiceRuntime` (admission batching and a result cache,
+//! Part 1 builds a corpus, binds one behavioural AP engine to it, stands up a
+//! zero-worker `ServiceRuntime` (admission batching and a result cache,
 //! driven from this thread with `poll()`, so the run is deterministic),
 //! pushes 1 000 single-query submissions through it in waves (with a skewed
 //! re-query pattern, as production traffic would have), verifies a sample
@@ -21,29 +21,17 @@ fn main() {
     let dims = 64;
     let k = 10;
     let corpus_size = 2_000;
-    let shards = 4;
     let total_queries = 1_000;
 
     println!("== ap-serve demo ==");
-    println!("corpus: {corpus_size} x {dims}-bit vectors, {shards} shards, k = {k}");
+    println!("corpus: {corpus_size} x {dims}-bit vectors, k = {k}");
 
-    // 1. Corpus and sharding: contiguous slices, one simulated board each.
+    // 1+2. The corpus, one behavioural AP engine over it behind the uniform
+    //      pipeline builder, handed to the batching runtime front door:
+    //      batches of 7 (the §VI-B multiplex width), LRU cache, no worker
+    //      thread — this thread polls. Both builders validate up front and
+    //      return typed SearchErrors instead of panicking at dispatch time.
     let data = binvec::generate::uniform_dataset(corpus_size, dims, 42);
-    let sharding = ShardedDataset::split(&data, shards);
-    for s in 0..sharding.shard_count() {
-        println!(
-            "  shard {s}: {} vectors, global ids {}..{}",
-            sharding.shards()[s].len(),
-            sharding.base(s),
-            sharding.base(s) + sharding.shards()[s].len(),
-        );
-    }
-
-    // 2+3. One AP engine per shard behind the uniform pipeline builder, handed
-    //      to the batching runtime front door: batches of 7 (the §VI-B
-    //      multiplex width), LRU cache, no worker thread — this thread polls.
-    //      Both builders validate up front and return typed SearchErrors
-    //      instead of panicking at dispatch time.
     let wave = 100;
     let config = RuntimeConfig::default()
         .with_workers(0)
@@ -52,14 +40,13 @@ fn main() {
         .with_cache_capacity(512);
     let service = SearchPipeline::over(data.clone())
         .backend(BackendSpec::behavioral())
-        .sharded(shards)
         .build()
         .expect("valid pipeline configuration")
         .into_runtime(config)
         .expect("valid runtime configuration");
     println!("backend: {}", service.backend_name());
 
-    // 4. Traffic: fresh queries mixed with re-queries of a small hot set, the
+    // 3. Traffic: fresh queries mixed with re-queries of a small hot set, the
     //    skew a production similarity service sees. A wave fills the bounded
     //    queue, one poll serves it; the next wave's re-queries then hit the
     //    cache at admission.
@@ -82,7 +69,7 @@ fn main() {
     }
     assert_eq!(completed.len(), total_queries);
 
-    // 5. Spot-check against the exact scan.
+    // 4. Spot-check against the exact scan.
     let ground_truth = LinearScan::new(data);
     for c in completed.iter().step_by(97) {
         assert_eq!(
@@ -93,21 +80,16 @@ fn main() {
     }
     println!("results verified against LinearScan ground truth");
 
-    // 6. The service report.
+    // 5. The service report.
     let stats = service.stats();
     println!("\n{}", stats.report());
     println!(
-        "batch fill {:.1}% | cache hit rate {:.1}% | shard utilization {:?}",
+        "batch fill {:.1}% | cache hit rate {:.1}%",
         stats.batch_fill_ratio().unwrap_or(0.0) * 100.0,
         stats.cache_hit_rate().unwrap_or(0.0) * 100.0,
-        stats
-            .shard_utilization()
-            .iter()
-            .map(|u| format!("{:.2}", u))
-            .collect::<Vec<_>>(),
     );
 
-    // 7. The concurrent runtime: each worker owns its own prepared engine
+    // 6. The concurrent runtime: each worker owns its own prepared engine
     //    (board images partitioned and compiled once per worker), callers
     //    submit from any thread and block on their own ticket.
     println!("\n== ServiceRuntime demo ==");

@@ -13,7 +13,7 @@
 //! | [`binvec`] | Bit-packed binary vectors, Hamming distance, ITQ quantization, corpus I/O, workloads |
 //! | [`baselines`] | CPU linear scan, kd-tree / k-means / LSH indexes, FPGA and GPU simulators |
 //! | [`ap_knn`] | The paper's contribution: kNN automata, temporal sort, optimizations, extensions, Jaccard, scheduler, live mutable corpora |
-//! | [`ap_serve`] | Query-serving subsystem: admission batching, dataset sharding, result caching, live mutations, wire protocol, service stats |
+//! | [`ap_serve`] | Query-serving subsystem: admission batching, result caching, live mutations, wire protocol, service stats |
 //! | [`ap_analyze`] | Static analysis: reachability/liveness, translation validation of compiled images, resource reconciliation, redundancy profiling |
 //! | [`perf_model`] | Table I platforms, run-time and energy models for table regeneration |
 //!
@@ -21,7 +21,7 @@
 //!
 //! Every backend family is constructed and queried through one fluent entry
 //! point, [`SearchPipeline`](ap_serve::SearchPipeline): pick a metric, pick a
-//! backend, optionally shard and cache, then issue fallible queries whose
+//! backend, then issue fallible queries whose
 //! options carry `k`, an optional distance bound (the paper's §VII range-query
 //! scenario), and an execution preference.
 //!
@@ -39,7 +39,7 @@
 //! // The AP engine behind the uniform pipeline: one NFA per dataset vector,
 //! // queries streamed through the cycle-accurate simulator, the temporally
 //! // encoded sort decoded back into neighbor lists.
-//! let mut pipeline = SearchPipeline::over(data)
+//! let pipeline = SearchPipeline::over(data)
 //!     .metric(Metric::Hamming)
 //!     .backend(BackendSpec::ap())
 //!     .build()
@@ -67,12 +67,12 @@
 //! |---|---|
 //! | `ApKnnEngine::new(design).search_batch(&data, &queries, k)` (removed) | `SearchPipeline::over(data).build()?.query_batch(&queries, &QueryOptions::top(k))?` |
 //! | `ApKnnEngine` + `ExecutionMode::Behavioral` | `.backend(BackendSpec::behavioral())` |
-//! | `ParallelApScheduler::new(design).with_workers(n).search_batch(..)` | `.backend(BackendSpec::scheduler(n))` |
+//! | `ParallelApScheduler` as a serving backend (`BackendSpec::scheduler(n)`, removed) | `.backend(BackendSpec::ap())`: the engine fans its board images over its own workers; `ParallelApScheduler::search_batch` stays as the paper-side multi-board model |
 //! | `JaccardSearcher::new(design).search_batch(..)` | `.metric(Metric::Jaccard)` (AP backend) |
 //! | `IndexedApEngine::new(&backed_index, design).search_batch(..)` | `.backend(BackendSpec::Indexed(IndexKind::KdForest \| KMeans \| Lsh))` |
 //! | `LinearScan::new(data).search_batch(..)` (any [`baselines::SearchIndex`]) | `.backend(BackendSpec::Baseline(BaselineKind::...))` |
-//! | `ShardedBackend::build(&ShardedDataset::split(&data, n), ...)` | `.sharded(n)` |
-//! | `ResultCache::new(cap)` wired by hand | `.cached(cap)` |
+//! | the sharded backend over N engines (removed) | `.backend(BackendSpec::ap())`: a corpus larger than one board streams through successive board images, merged on the host |
+//! | `ResultCache::new(cap)` wired by hand, or the pipeline's own cache (removed) | `pipeline.into_runtime(RuntimeConfig::default().with_cache_capacity(cap))?` |
 //! | the synchronous `submit` / `drain` service front end (removed) | `pipeline.into_runtime(RuntimeConfig::default().with_workers(0))?`, `try_submit`, `poll()`, `handle.wait()` |
 //!
 //! The deprecated panicking `ApKnnEngine::search_batch` wrapper has been
@@ -98,15 +98,13 @@ pub mod prelude {
     pub use ap_knn::{
         ApKnnEngine, AutoPlanner, BoardCapacity, ExecutionMode, ExecutionPlanner, FaultPlan,
         JaccardSearcher, KnnDesign, LiveConfig, LiveEngine, LiveStatus, ParallelApScheduler,
-        PreparedEngine, PreparedSchedule, RestoreReport, StreamLayout, WalConfig, WalError,
-        WalGauges,
+        PreparedEngine, RestoreReport, StreamLayout, WalConfig, WalError, WalGauges,
     };
     pub use ap_serve::{
-        ApClient, ApEngineBackend, ApSchedulerBackend, ApServer, BackendSpec, BaselineKind,
-        CompletionSet, FailedQuery, Frame, FrameBuffer, IndexKind, LiveBackend, Metric, NetError,
-        Provenance, Response, RetryPolicy, RuntimeConfig, SearchPipeline, ServiceRuntime,
-        ServiceStats, ShardedBackend, ShardedDataset, SimilarityBackend, StatsFrame, TicketHandle,
-        TicketResult,
+        ApClient, ApEngineBackend, ApServer, BackendSpec, BaselineKind, CompletionSet, FailedQuery,
+        Frame, FrameBuffer, IndexKind, LiveBackend, Metric, NetError, Provenance, Response,
+        RetryPolicy, RuntimeConfig, SearchPipeline, ServiceRuntime, ServiceStats,
+        SimilarityBackend, StatsFrame, TicketHandle, TicketResult,
     };
     pub use ap_sim::{
         ApGeneration, AutomataNetwork, CompiledPcre, DeviceConfig, PcreSet, Simulator, TimingModel,

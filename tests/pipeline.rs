@@ -1,8 +1,8 @@
 //! Integration tests for the one query API: every backend family constructed
 //! through `SearchPipeline::over(..).build()` agrees with its legacy entry
-//! point and with `LinearScan`, across metric × backend × sharding × caching
-//! configurations, and every validation failure comes back as a typed
-//! `SearchError`.
+//! point and with `LinearScan`, across metric × backend configurations, direct
+//! and through a caching runtime, and every validation failure comes back as a
+//! typed `SearchError`.
 
 use ap_knn::jaccard::brute_force_jaccard;
 use ap_serve::backend::jaccard_distance;
@@ -44,12 +44,13 @@ fn every_backend_family_matches_its_legacy_entry_point() {
         .expect("well-formed direct engine run");
     assert_eq!(run(BackendSpec::ap()), direct_ap, "AP engine");
 
-    // 2. The multi-board scheduler.
+    // 2. The multi-board scheduler model, vs the AP engine that serves the
+    //    same fan-out.
     let (legacy_sched, _) = ParallelApScheduler::new(design)
         .with_workers(3)
         .search_batch(&data, &queries, k);
     assert_eq!(
-        run(BackendSpec::scheduler(3)),
+        run(BackendSpec::ap()),
         legacy_sched,
         "multi-board scheduler"
     );
@@ -160,7 +161,7 @@ fn cycle_accurate_distance_bound_returns_exactly_the_in_range_set() {
     let dims = 12;
     let (data, queries) = fixtures(32, dims, 13);
     let bound = 5u32;
-    let mut pipeline = SearchPipeline::over(data.clone())
+    let pipeline = SearchPipeline::over(data.clone())
         .backend(BackendSpec::ap()) // cycle-accurate
         .build()
         .unwrap();
@@ -177,45 +178,80 @@ fn cycle_accurate_distance_bound_returns_exactly_the_in_range_set() {
     }
 }
 
-/// Jaccard sweeps: sharding and caching never change which similarity values
-/// make the global top-k.
+/// Submits every query to a zero-worker runtime, polls it dry, and returns
+/// the answers in submission order.
+fn submit_and_drain(runtime: &ServiceRuntime, queries: &[BinaryVector]) -> Vec<Vec<Neighbor>> {
+    let handles: Vec<TicketHandle> = queries
+        .iter()
+        .map(|q| runtime.try_submit(q.clone()).unwrap())
+        .collect();
+    runtime.poll();
+    handles
+        .into_iter()
+        .map(|h| h.wait().unwrap().neighbors)
+        .collect()
+}
+
+/// Jaccard, direct and through a caching runtime: the cache never changes
+/// which similarity values make the top-k.
 #[test]
-fn jaccard_pipeline_matches_brute_force_across_sharding_and_caching() {
+fn jaccard_pipeline_matches_brute_force_direct_and_cached() {
     let dims = 16;
     let k = 4;
     let (data, queries) = fixtures(36, dims, 19);
-    for shards in [1usize, 3] {
-        for cache in [0usize, 32] {
-            let mut pipeline = SearchPipeline::over(data.clone())
-                .metric(Metric::Jaccard)
-                .backend(BackendSpec::ap())
-                .sharded(shards)
-                .cached(cache)
-                .build()
-                .unwrap();
-            // Two passes so the cached configuration also exercises hits.
-            for pass in 0..2 {
-                let responses = pipeline
-                    .query_batch(&queries, &QueryOptions::top(k))
-                    .unwrap();
-                for (q, response) in queries.iter().zip(&responses) {
-                    let expected: Vec<u32> = brute_force_jaccard(&data, q, k)
-                        .into_iter()
-                        .map(|n| jaccard_distance(n.similarity))
-                        .collect();
-                    let got: Vec<u32> = response.neighbors.iter().map(|n| n.distance).collect();
-                    assert_eq!(got, expected, "shards={shards} cache={cache} pass={pass}");
-                }
-            }
-        }
+    let expected: Vec<Vec<u32>> = queries
+        .iter()
+        .map(|q| {
+            brute_force_jaccard(&data, q, k)
+                .into_iter()
+                .map(|n| jaccard_distance(n.similarity))
+                .collect()
+        })
+        .collect();
+    let distances = |answers: Vec<Vec<Neighbor>>| -> Vec<Vec<u32>> {
+        answers
+            .into_iter()
+            .map(|ns| ns.into_iter().map(|n| n.distance).collect())
+            .collect()
+    };
+    let pipeline = || {
+        SearchPipeline::over(data.clone())
+            .metric(Metric::Jaccard)
+            .backend(BackendSpec::ap())
+            .build()
+            .unwrap()
+    };
+
+    let direct = pipeline()
+        .query_batch(&queries, &QueryOptions::top(k))
+        .unwrap();
+    assert_eq!(
+        distances(direct.into_iter().map(|r| r.neighbors).collect()),
+        expected,
+        "direct"
+    );
+
+    let config = RuntimeConfig::default()
+        .with_workers(0)
+        .with_options(QueryOptions::top(k))
+        .with_cache_capacity(32);
+    let runtime = pipeline().into_runtime(config).unwrap();
+    // Two passes: the second is answered from the cache.
+    for pass in 0..2 {
+        assert_eq!(
+            distances(submit_and_drain(&runtime, &queries)),
+            expected,
+            "cached runtime, pass {pass}"
+        );
     }
+    assert_eq!(runtime.stats().cache_hits, queries.len() as u64);
 }
 
 /// Explicit error paths: dim mismatch, k = 0, zero-dim design, zero bound.
 #[test]
 fn error_paths_surface_as_typed_search_errors() {
     let (data, _) = fixtures(20, 16, 23);
-    let mut pipeline = SearchPipeline::over(data.clone())
+    let pipeline = SearchPipeline::over(data.clone())
         .backend(BackendSpec::behavioral())
         .build()
         .unwrap();
@@ -269,15 +305,15 @@ fn error_paths_surface_as_typed_search_errors() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The configuration sweep: any exact Hamming backend × sharding × caching
-    /// pipeline agrees with `LinearScan` on random corpora.
+    /// The configuration sweep: any exact Hamming backend, queried directly
+    /// or through a runtime with the cache on, agrees with `LinearScan` on
+    /// random corpora.
     #[test]
     fn exact_pipelines_agree_with_linear_scan(
         n in 8usize..40,
         dims in 4usize..20,
         k in 1usize..6,
-        backend_choice in 0usize..4,
-        shards in 1usize..4,
+        backend_choice in 0usize..3,
         cached in any::<bool>(),
         seed in 0u64..1000,
     ) {
@@ -286,19 +322,26 @@ proptest! {
         let spec = match backend_choice {
             0 => BackendSpec::ap(),
             1 => BackendSpec::behavioral(),
-            2 => BackendSpec::scheduler(2),
             _ => BackendSpec::Baseline(BaselineKind::ParallelLinear { threads: 2 }),
         };
-        let mut pipeline = SearchPipeline::over(data.clone())
+        let pipeline = SearchPipeline::over(data.clone())
             .metric(Metric::Hamming)
             .backend(spec)
-            .sharded(shards)
-            .cached(if cached { 64 } else { 0 })
             .build()
             .unwrap();
         let expected = LinearScan::new(data).search_batch(&queries, k);
-        // Two passes: the second exercises the cache path when enabled.
-        for _ in 0..2 {
+        if cached {
+            let config = RuntimeConfig::default()
+                .with_workers(0)
+                .with_options(QueryOptions::top(k))
+                .with_cache_capacity(64);
+            let runtime = pipeline.into_runtime(config).unwrap();
+            // Two submissions: the second is answered from the cache.
+            for _ in 0..2 {
+                prop_assert_eq!(&submit_and_drain(&runtime, &queries), &expected);
+            }
+            prop_assert_eq!(runtime.stats().cache_hits, queries.len() as u64);
+        } else {
             let responses = pipeline.query_batch(&queries, &QueryOptions::top(k)).unwrap();
             for (response, want) in responses.iter().zip(&expected) {
                 prop_assert_eq!(&response.neighbors, want);
@@ -317,7 +360,7 @@ proptest! {
     ) {
         let data = binvec::generate::uniform_dataset(n, dims, seed);
         let queries = binvec::generate::uniform_queries(2, dims, seed.wrapping_add(2));
-        let mut pipeline = SearchPipeline::over(data.clone())
+        let pipeline = SearchPipeline::over(data.clone())
             .backend(BackendSpec::behavioral())
             .build()
             .unwrap();

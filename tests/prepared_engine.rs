@@ -275,29 +275,6 @@ fn serving_layer_reuses_one_prepared_engine_across_dispatches() {
 }
 
 #[test]
-fn sharded_pipeline_pins_one_prepared_engine_per_shard() {
-    // Sharded deployments bind one prepared engine to each shard slice; the
-    // merged answers equal the exact scan across repeated batches.
-    let dims = 16;
-    let data = binvec::generate::uniform_dataset(72, dims, 85);
-    let ground_truth = LinearScan::new(data.clone());
-    let mut pipeline = SearchPipeline::over(data)
-        .backend(BackendSpec::ap())
-        .sharded(3)
-        .build()
-        .unwrap();
-    for round in 0..3u64 {
-        let queries = binvec::generate::uniform_queries(4, dims, 86 + round);
-        let responses = pipeline
-            .query_batch(&queries, &QueryOptions::top(5))
-            .unwrap();
-        for (r, q) in responses.iter().zip(&queries) {
-            assert_eq!(r.neighbors, ground_truth.search(q, 5), "round {round}");
-        }
-    }
-}
-
-#[test]
 fn auto_backend_serves_identically_to_pinned_modes() {
     let dims = 16;
     let data = binvec::generate::uniform_dataset(48, dims, 87);
@@ -308,7 +285,7 @@ fn auto_backend_serves_identically_to_pinned_modes() {
         BackendSpec::behavioral(),
         BackendSpec::auto(),
     ] {
-        let mut pipeline = SearchPipeline::over(data.clone())
+        let pipeline = SearchPipeline::over(data.clone())
             .backend(spec)
             .build()
             .unwrap();
