@@ -125,9 +125,10 @@ impl BinaryDataset {
     /// a caller-owned buffer (cleared first, then filled in vector order).
     ///
     /// One dimensionality check covers the whole batch and the kernel runs straight
-    /// over the packed word storage, so per-pair assert and iterator-zip overhead
-    /// disappears from the hot loops of the behavioural AP engine and the
-    /// linear-scan baseline.
+    /// over the packed word storage. Vectors of one to four words (up to 256 dims)
+    /// take a kernel specialised on that word count, which the compiler unrolls and
+    /// vectorises; wider vectors take the generic loop. This is the kernel behind
+    /// the behavioural AP engine and the linear-scan baseline.
     ///
     /// # Panics
     /// Panics if the query's dimensionality differs from the dataset's.
@@ -140,18 +141,19 @@ impl BinaryDataset {
             self.dims
         );
         out.clear();
-        out.reserve(self.len);
-        if self.words_per_vec == 0 {
-            out.extend(std::iter::repeat_n(0u32, self.len));
-            return;
-        }
+        out.resize(self.len, 0);
         let qw = query.words();
-        for chunk in self.words.chunks_exact(self.words_per_vec) {
-            let mut dist = 0u32;
-            for (a, b) in chunk.iter().zip(qw) {
-                dist += (a ^ b).count_ones();
+        match self.words_per_vec {
+            0 => {}
+            1 => scan::<1>(&self.words, qw, out),
+            2 => scan::<2>(&self.words, qw, out),
+            3 => scan::<3>(&self.words, qw, out),
+            4 => scan::<4>(&self.words, qw, out),
+            w => {
+                for (dist, v) in out.iter_mut().zip(self.words.chunks_exact(w)) {
+                    *dist = v.iter().zip(qw).map(|(a, b)| (a ^ b).count_ones()).sum();
+                }
             }
-            out.push(dist);
         }
     }
 
@@ -192,6 +194,15 @@ impl BinaryDataset {
             } else {
                 0
             }
+    }
+}
+
+/// [`BinaryDataset::hamming_batch_into`]'s kernel for vectors of exactly `W` words.
+fn scan<const W: usize>(words: &[u64], query: &[u64], out: &mut [u32]) {
+    let (vectors, _) = words.as_chunks::<W>();
+    let q = &query.as_chunks::<W>().0[0];
+    for (dist, v) in out.iter_mut().zip(vectors) {
+        *dist = (0..W).map(|i| (v[i] ^ q[i]).count_ones()).sum();
     }
 }
 
@@ -334,5 +345,39 @@ mod tests {
         ds.push(&BinaryVector::zeros(128));
         ds.push(&BinaryVector::ones(128));
         assert_eq!(ds.payload_bytes(), 2 * 128 / 8);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::generate::{uniform_dataset, uniform_queries};
+    use proptest::prelude::*;
+
+    /// Hamming distance counted bit by bit, independent of any word kernel.
+    fn per_bit(a: &BinaryVector, b: &BinaryVector) -> u32 {
+        (0..a.dims()).filter(|&i| a.get(i) != b.get(i)).count() as u32
+    }
+
+    proptest! {
+        // One to five words covers every specialised kernel and the generic
+        // loop; `tail` puts the last word anywhere from one bit to full.
+        #[test]
+        fn hamming_batch_matches_a_per_bit_count(
+            words in 1usize..=5,
+            tail in 1usize..=64,
+            n in 0usize..24,
+            seed in any::<u64>(),
+        ) {
+            let dims = (words - 1) * 64 + tail;
+            let ds = uniform_dataset(n, dims, seed);
+            let q = &uniform_queries(1, dims, seed ^ 1)[0];
+            let mut out = vec![u32::MAX; 3]; // stale contents must be cleared
+            ds.hamming_batch_into(q, &mut out);
+            let expected: Vec<u32> = (0..n).map(|i| per_bit(&ds.vector(i), q)).collect();
+            prop_assert_eq!(&out, &expected);
+            BinaryDataset::new(dims).hamming_batch_into(q, &mut out);
+            prop_assert!(out.is_empty());
+        }
     }
 }

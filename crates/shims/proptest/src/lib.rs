@@ -6,7 +6,8 @@
 //! family. Inputs are sampled from a deterministic per-test stream (seeded from
 //! the test's source location), so failures reproduce across runs. Unlike the
 //! real proptest there is **no shrinking**: a failing case panics with the
-//! values the `prop_assert*` message interpolates.
+//! values the `prop_assert*` message interpolates. A block without an explicit
+//! `proptest_config` runs 32 cases, or as many as `PROPTEST_CASES` names.
 
 #![warn(missing_docs)]
 
@@ -72,9 +73,21 @@ impl ProptestConfig {
 }
 
 impl Default for ProptestConfig {
+    /// 32 cases, or as many as the `PROPTEST_CASES` environment variable
+    /// names. [`ProptestConfig::with_cases`] is not affected by it.
     fn default() -> Self {
-        Self { cases: 32 }
+        Self {
+            cases: cases_from(std::env::var("PROPTEST_CASES").ok().as_deref()),
+        }
     }
+}
+
+/// The case count a `PROPTEST_CASES` value asks for; 32 when it is unset or
+/// not a positive integer.
+fn cases_from(var: Option<&str>) -> u32 {
+    var.and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(32)
 }
 
 /// A source of random values of one type.
@@ -581,6 +594,15 @@ mod tests {
             assert_eq!(a.len(), b.len());
             assert!((1..=8).contains(&a.len()));
         }
+    }
+
+    #[test]
+    fn proptest_cases_sets_the_default_case_count() {
+        assert_eq!(crate::cases_from(None), 32);
+        assert_eq!(crate::cases_from(Some("320")), 320);
+        assert_eq!(crate::cases_from(Some("0")), 32);
+        assert_eq!(crate::cases_from(Some("many")), 32);
+        assert_eq!(ProptestConfig::with_cases(16).cases, 16);
     }
 
     #[test]

@@ -92,6 +92,11 @@ pub use baselines;
 pub use binvec;
 pub use perf_model;
 
+// Compiles and runs every `rust` block of the README as a doctest.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 /// Convenient re-exports of the most frequently used types across the workspace.
 pub mod prelude {
     pub use ap_analyze::{AnalysisReport, Analyzer, CapacityContext, Finding, Severity};
