@@ -27,19 +27,18 @@
 //!   ([`ap_knn::multiplex::MAX_SLICES`] by default), with backpressure
 //!   ([`binvec::SearchError::QueueFull`]) and deadline shedding
 //!   ([`binvec::SearchError::DeadlineExceeded`]); every ticket resolves
-//!   through its own completion channel, and a [`ServiceStats`] report gives
-//!   throughput, batch-fill ratio and cache hit rate.
+//!   exactly once, through its own completion callback, and a
+//!   [`ServiceStats`] report gives throughput, batch-fill ratio and cache hit
+//!   rate.
 //!   N worker threads, each owning its own backend (worker-owned prepared
 //!   engines), drain the queue — or, with zero workers, the caller does
 //!   through [`ServiceRuntime::poll`], which makes batch formation
 //!   deterministic.
 //! * [`net`] — **the network front door**: a length-prefixed binary wire
 //!   protocol ([`Frame`]/[`FrameBuffer`]), a TCP server ([`ApServer`]) that
-//!   decodes frames and feeds the [`ServiceRuntime`] (one reader thread per
-//!   connection, responses multiplexed back by correlation id), a blocking
-//!   client ([`ApClient`]), and a waker-driven [`CompletionSet`] so one
-//!   thread multiplexes thousands of in-flight tickets without per-ticket
-//!   `wait()` calls.
+//!   decodes frames and feeds the [`ServiceRuntime`] (one thread per
+//!   connection; the thread that resolves a ticket writes its response,
+//!   matched back by correlation id), and a blocking client ([`ApClient`]).
 //! * [`SearchPipeline`] — **the one query API**: a fluent builder
 //!   (`over → metric → backend → build`) that constructs any backend family
 //!   behind one fallible `query`/`query_batch` interface, with
@@ -107,9 +106,7 @@ pub use binvec::{
 };
 pub use cache::{ResultCache, MAX_CACHE_CAPACITY};
 pub use live::LiveBackend;
-pub use net::{
-    ApClient, ApServer, CompletionSet, Frame, FrameBuffer, NetError, RetryPolicy, StatsFrame,
-};
+pub use net::{ApClient, ApServer, Frame, FrameBuffer, NetError, RetryPolicy, StatsFrame};
 pub use pipeline::{
     BackendSpec, BaselineKind, IndexKind, Metric, Provenance, Query, Response, SearchPipeline,
     SearchPipelineBuilder,

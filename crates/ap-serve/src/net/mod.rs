@@ -8,12 +8,11 @@
 //!
 //! ```text
 //!               TCP (loopback or the datacenter fabric)
-//!  ApClient ──Submit{corr, options, query}──▶ ApServer ──try_submit──▶ ServiceRuntime
-//!     ▲                                      reader thread               (workers,
-//!     │                                          │ TicketHandle           queue,
-//!     └──Completed{corr, neighbors} ◀── writer thread ◀─ CompletionSet ◀── tickets)
-//!        Failed{corr, typed error}        (one per conn)   (waker-driven
-//!                                                           ready list)
+//!  ApClient ──Submit{corr, options, query}──▶ connection thread ──admit──▶ ServiceRuntime
+//!     ▲                                       (one per connection)        (queue,
+//!     │                                                                    workers)
+//!     └──Completed{corr, neighbors} ◀── the ticket's callback, on the ◀─────┘
+//!        Failed{corr, typed error}       thread that resolves it
 //! ```
 //!
 //! * [`Frame`] / [`FrameBuffer`] — the wire codec: magic + version +
@@ -21,13 +20,14 @@
 //!   (priority, deadline budget, bound, execution preference all travel),
 //!   decoding into typed [`binvec::WireError`]s — never a panic, never an
 //!   allocation sized by a hostile declared length.
-//! * [`CompletionSet`] — the non-blocking completion surface: one connection
-//!   thread multiplexes thousands of in-flight tickets through a
-//!   waker-driven ready list instead of a blocked `wait()` per ticket.
 //! * [`ApServer`] — accepts connections, decodes frames, feeds the runtime;
-//!   one reader thread per connection, responses multiplexed back by
-//!   correlation id by a writer thread. Graceful shutdown stops reading new
-//!   frames but drains every in-flight ticket before closing sockets.
+//!   one thread per connection. Each admitted ticket's callback writes its
+//!   response frame on the thread that resolves it — a runtime worker, or
+//!   the connection thread for a cache hit or an expired deadline — so no
+//!   thread waits on a single ticket. A frame that takes two seconds to
+//!   write drops the connection, so a peer that stops reading cannot hold a
+//!   worker. Graceful shutdown stops reading new frames but drains every
+//!   in-flight ticket before closing sockets.
 //! * [`ApClient`] — the blocking client: pipelined `submit`/`recv_completion`
 //!   or one-shot `search`, live-corpus mutations (`insert`/`delete` one-shots
 //!   and their pipelined forms), `ping`, and a remote [`StatsFrame`]
@@ -36,12 +36,10 @@
 //!   hanging on a stalled server.
 
 mod client;
-mod completion;
 mod frame;
 mod server;
 
 pub use client::{ApClient, RetryPolicy, DEFAULT_IO_TIMEOUT};
-pub use completion::CompletionSet;
 pub use frame::{Frame, FrameBuffer, StatsFrame, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION};
 pub use server::ApServer;
 

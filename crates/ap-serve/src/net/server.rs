@@ -1,22 +1,26 @@
-//! The TCP server: accept loop, per-connection reader threads, and a
-//! waker-driven writer multiplexing completions back by correlation id.
+//! The TCP server: an accept loop and one thread per connection. That thread
+//! decodes frames and admits tickets; whichever thread resolves a ticket
+//! writes its response frame.
 
-use super::completion::CompletionSet;
 use super::frame::{Frame, FrameBuffer, StatsFrame};
-use crate::runtime::{ServiceRuntime, TicketHandle, TicketResult};
+use crate::runtime::{ServiceRuntime, TicketResult, Work};
 use crate::stats::ServiceStats;
 use binvec::{Mutation, SearchError};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// How often blocked socket reads and idle writers wake to check for
-/// shutdown. Bounds shutdown latency; completions themselves are waker-driven
-/// and never wait on this tick.
+/// How often blocked socket reads wake to check for shutdown. Bounds
+/// shutdown latency; responses never wait on this tick.
 const POLL_TICK: Duration = Duration::from_millis(20);
+
+/// How long writing one frame may take. Runtime workers write responses, so
+/// a peer that stops reading holds a worker for at most this long per frame;
+/// then its connection is dropped and later frames to it are skipped.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// How long `shutdown` waits on each of its two wake connects to its own
 /// listener before giving up on the accept thread.
@@ -27,12 +31,15 @@ const READ_CHUNK: usize = 16 * 1024;
 
 /// A TCP front door over a [`ServiceRuntime`].
 ///
-/// `bind` spawns the accept loop; each accepted connection gets a **reader**
-/// thread (decode frames → submit to the runtime) and a **writer** thread
-/// (a [`CompletionSet`] multiplexing every in-flight ticket of that
-/// connection, writing `Completed`/`Failed` frames as tickets resolve — in
-/// completion order, matched to requests by correlation id, never blocking on
-/// any single ticket).
+/// `bind` spawns the accept loop; each accepted connection gets **one**
+/// thread that decodes frames and admits each query or mutation as a runtime
+/// ticket. The ticket's callback writes its `Completed`/`MutAck`/`Failed`
+/// frame on whichever thread resolves it — the runtime worker, or the
+/// connection thread itself for a cache hit or an expired deadline — so
+/// responses go out in completion order, matched to requests by correlation
+/// id, and no thread ever blocks on a single ticket. A peer that stops
+/// reading is disconnected once one frame to it has taken two seconds to
+/// write.
 ///
 /// Failure containment per connection: a malformed byte stream fails *that
 /// connection* with a typed [`Frame::Failed`] farewell (correlation id 0) and
@@ -94,18 +101,24 @@ impl ApServer {
                         }
                         match accept {
                             Ok((stream, _peer)) => {
-                                accepted.fetch_add(1, Ordering::Relaxed);
+                                let index = accepted.fetch_add(1, Ordering::Relaxed) + 1;
                                 let runtime = Arc::clone(&runtime);
                                 let shutdown = Arc::clone(&shutdown);
-                                let index = accepted.load(Ordering::Relaxed);
-                                let handle = std::thread::Builder::new()
+                                let spawned = std::thread::Builder::new()
                                     .name(format!("ap-net-conn-{index}"))
-                                    .spawn(move || serve_connection(stream, &runtime, &shutdown))
-                                    .expect("spawn connection thread");
-                                connections
-                                    .lock()
-                                    .expect("connection registry")
-                                    .push(handle);
+                                    .spawn(move || serve_connection(stream, &runtime, &shutdown));
+                                let mut registry = connections.lock().expect("connection registry");
+                                // Release finished connections' threads, so a
+                                // long-lived server keeps only live ones:
+                                // dropping a finished thread's handle frees
+                                // it as a join would.
+                                registry.retain(|handle| !handle.is_finished());
+                                // A failed spawn dropped the stream with its
+                                // closure: that peer sees a close, and the
+                                // loop keeps accepting.
+                                if let Ok(handle) = spawned {
+                                    registry.push(handle);
+                                }
                             }
                             // Transient accept failures (out of descriptors,
                             // an aborted handshake): back off, then retry.
@@ -142,8 +155,8 @@ impl ApServer {
     }
 
     /// Gracefully shuts the server down: stop accepting, stop reading new
-    /// frames, drain every in-flight ticket (each connection writes its
-    /// remaining responses), close the sockets, join the threads. The runtime
+    /// frames, drain every in-flight ticket (each one's callback writes its
+    /// response), close the sockets, join the threads. The runtime
     /// itself is left running — it belongs to the caller.
     ///
     /// Returns the runtime's statistics snapshot at shutdown.
@@ -195,74 +208,129 @@ fn wake_addr(local: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// What the reader hands the writer for one admitted submission.
-struct Registration {
-    correlation: u64,
-    handle: TicketHandle,
+/// The write half of one connection, shared by its thread and every runtime
+/// thread that resolves one of its tickets, plus the count of tickets whose
+/// response is still owed.
+struct FrameSink {
+    writer: Mutex<Writer>,
+    in_flight: Mutex<usize>,
+    drained: Condvar,
 }
 
-/// Serializes whole frames onto the connection's write half. The reader
-/// writes its direct replies (`Pong`, `Stats`, per-query `Failed`) and the
-/// writer thread writes completions; the mutex keeps frames atomic on the
+/// The socket's write half; the mutex around it keeps frames whole on the
 /// stream.
-struct FrameSink {
-    stream: Mutex<(TcpStream, Vec<u8>)>,
-    broken: AtomicBool,
+struct Writer {
+    stream: TcpStream,
+    scratch: Vec<u8>,
+    /// Set by a failed or timed-out write. The stream may hold a partial
+    /// frame, so nothing more is written and the socket is shut down.
+    broken: bool,
 }
 
 impl FrameSink {
     fn new(stream: TcpStream) -> Self {
         Self {
-            stream: Mutex::new((stream, Vec::with_capacity(4096))),
-            broken: AtomicBool::new(false),
+            writer: Mutex::new(Writer {
+                stream,
+                scratch: Vec::with_capacity(4096),
+                broken: false,
+            }),
+            in_flight: Mutex::new(0),
+            drained: Condvar::new(),
         }
     }
 
-    /// Writes one frame; a failed write marks the sink broken (the peer is
-    /// gone) and later writes become no-ops so draining stays cheap.
+    /// Writes one frame. A failed write — the peer is gone, or the frame
+    /// took [`WRITE_TIMEOUT`] — breaks the sink and shuts the socket down,
+    /// which also ends the connection's read loop; later sends are no-ops.
     fn send(&self, correlation: u64, frame: &Frame) {
-        if self.broken.load(Ordering::Relaxed) {
+        let mut writer = self.writer.lock().expect("frame sink poisoned");
+        if writer.broken {
             return;
         }
-        let mut guard = self.stream.lock().expect("frame sink poisoned");
-        let (stream, scratch) = &mut *guard;
+        let Writer {
+            stream, scratch, ..
+        } = &mut *writer;
         scratch.clear();
         frame.encode(correlation, scratch);
-        if stream.write_all(scratch).is_err() {
-            self.broken.store(true, Ordering::Relaxed);
+        if write_frame(stream, scratch).is_err() {
+            writer.broken = true;
+            let _ = writer.stream.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Counts one ticket whose response this connection owes.
+    fn track(&self) {
+        *self.in_flight.lock().expect("frame sink poisoned") += 1;
+    }
+
+    /// Settles one counted ticket.
+    fn settle(&self) {
+        let mut in_flight = self.in_flight.lock().expect("frame sink poisoned");
+        *in_flight -= 1;
+        if *in_flight == 0 {
+            self.drained.notify_all();
+        }
+    }
+
+    /// Blocks until every counted ticket has settled.
+    fn wait_drained(&self) {
+        let mut in_flight = self.in_flight.lock().expect("frame sink poisoned");
+        while *in_flight > 0 {
+            in_flight = self.drained.wait(in_flight).expect("frame sink poisoned");
         }
     }
 }
 
-/// One connection, start to finish: runs on the reader thread, spawns the
-/// writer thread, and only returns once both sides are drained and the
-/// socket is closed.
+/// Writes all of `bytes` within [`WRITE_TIMEOUT`], however the peer paces its
+/// reads. The socket's own timeout (set to [`WRITE_TIMEOUT`] when the
+/// connection opens) bounds each `write` call, so a peer reading a trickle at
+/// a time would hold the writer indefinitely; after a partial write the
+/// timeout is cut to what is left of the budget, and restored once the frame
+/// is out. Usually one `write` takes the whole frame.
+fn write_frame(stream: &mut TcpStream, bytes: &[u8]) -> std::io::Result<()> {
+    let deadline = Instant::now() + WRITE_TIMEOUT;
+    let mut rest = bytes;
+    let mut cut = false;
+    while !rest.is_empty() {
+        match stream.write(rest) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => rest = &rest[n..],
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if !rest.is_empty() {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(std::io::ErrorKind::TimedOut.into());
+            }
+            stream.set_write_timeout(Some(left))?;
+            cut = true;
+        }
+    }
+    if cut {
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    }
+    Ok(())
+}
+
+/// One connection, start to finish, on its one thread: read and admit until
+/// EOF, a protocol fault or server shutdown; then wait for every admitted
+/// ticket's response to be written, and only then close the socket.
 fn serve_connection(stream: TcpStream, runtime: &Arc<ServiceRuntime>, shutdown: &AtomicBool) {
     let _ = stream.set_nodelay(true);
     // The read timeout doubles as the shutdown poll tick.
     let _ = stream.set_read_timeout(Some(POLL_TICK));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let write_half = match stream.try_clone() {
         Ok(half) => half,
         Err(_) => return,
     };
     let sink = Arc::new(FrameSink::new(write_half));
-    let (register_tx, register_rx) = mpsc::channel::<Registration>();
-    let writer = {
-        let sink = Arc::clone(&sink);
-        std::thread::Builder::new()
-            .name("ap-net-writer".to_string())
-            .spawn(move || writer_loop(&sink, register_rx))
-            .expect("spawn connection writer")
-    };
-
-    read_loop(&stream, runtime, shutdown, &sink, &register_tx);
-
-    // Dropping the registration channel tells the writer no more tickets are
-    // coming; it drains the in-flight set, writes the remaining responses,
-    // and exits — only then is the socket shut down. That is the graceful
-    // drain contract.
-    drop(register_tx);
-    let _ = writer.join();
+    read_loop(&stream, runtime, shutdown, &sink);
+    // The graceful drain contract: reading has stopped, but every admitted
+    // ticket still writes its response before the socket closes.
+    sink.wait_drained();
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -272,8 +340,7 @@ fn read_loop(
     mut stream: &TcpStream,
     runtime: &Arc<ServiceRuntime>,
     shutdown: &AtomicBool,
-    sink: &FrameSink,
-    register_tx: &mpsc::Sender<Registration>,
+    sink: &Arc<FrameSink>,
 ) {
     let mut frames = FrameBuffer::new();
     let mut chunk = vec![0u8; READ_CHUNK];
@@ -288,7 +355,7 @@ fn read_loop(
                 loop {
                     match frames.next_frame() {
                         Ok(Some((correlation, frame))) => {
-                            if !handle_frame(correlation, frame, runtime, sink, register_tx) {
+                            if !handle_frame(correlation, frame, runtime, sink) {
                                 return;
                             }
                         }
@@ -329,64 +396,30 @@ fn read_loop(
 fn handle_frame(
     correlation: u64,
     frame: Frame,
-    runtime: &Arc<ServiceRuntime>,
-    sink: &FrameSink,
-    register_tx: &mpsc::Sender<Registration>,
+    runtime: &ServiceRuntime,
+    sink: &Arc<FrameSink>,
 ) -> bool {
     match frame {
-        Frame::Ping => {
-            sink.send(correlation, &Frame::Pong);
-            true
-        }
+        Frame::Ping => sink.send(correlation, &Frame::Pong),
         Frame::StatsRequest => {
             let snapshot = StatsFrame {
                 backend: runtime.backend_name(),
                 metrics: runtime.stats().metrics(),
             };
             sink.send(correlation, &Frame::Stats(Box::new(snapshot)));
-            true
         }
         Frame::Submit { options, query } => {
-            match runtime.try_submit_with(query, &options) {
-                Ok(handle) => {
-                    // The writer owns delivery from here. If the writer died
-                    // (sink broken), the handle is dropped and the runtime
-                    // still resolves the ticket internally.
-                    let _ = register_tx.send(Registration {
-                        correlation,
-                        handle,
-                    });
-                }
-                // Admission refused (bad dims, zero k, expired deadline,
-                // queue full): the typed per-query failure goes straight
-                // back and the connection lives on.
-                Err(error) => sink.send(correlation, &Frame::Failed { error }),
-            }
-            true
+            admit(correlation, Work::Query(query), &options, runtime, sink);
         }
-        // Mutations ride the same admission path as queries: a ticket whose
-        // resolution the writer turns into a `MutAck` (or typed `Failed`).
+        // Mutations ride the same admission path as queries: a ticket that
+        // resolves into a `MutAck` (or a typed `Failed`).
         Frame::Insert { options, vector } => {
-            submit_mutation(
-                correlation,
-                Mutation::Insert { vector },
-                &options,
-                runtime,
-                sink,
-                register_tx,
-            );
-            true
+            let insert = Work::Mutation(Mutation::Insert { vector });
+            admit(correlation, insert, &options, runtime, sink);
         }
         Frame::Delete { options, id } => {
-            submit_mutation(
-                correlation,
-                Mutation::Delete { id: id as usize },
-                &options,
-                runtime,
-                sink,
-                register_tx,
-            );
-            true
+            let delete = Work::Mutation(Mutation::Delete { id: id as usize });
+            admit(correlation, delete, &options, runtime, sink);
         }
         // Response frames arriving at the server are a protocol violation by
         // the peer: answer typed, then fail the connection.
@@ -404,73 +437,40 @@ fn handle_frame(
                     },
                 },
             );
-            false
+            return false;
         }
     }
+    true
 }
 
-/// The connection's completion multiplexer: every in-flight ticket lives in
-/// one [`CompletionSet`]; resolved tickets are written back as
-/// `Completed`/`Failed` frames in completion order. Exits once the reader has
-/// hung up **and** the set is drained.
-fn writer_loop(sink: &FrameSink, register_rx: mpsc::Receiver<Registration>) {
-    let mut set: CompletionSet<u64> = CompletionSet::new();
-    let mut reader_alive = true;
-    while reader_alive || !set.is_empty() {
-        // Ingest new registrations without blocking.
-        loop {
-            match register_rx.try_recv() {
-                Ok(registration) => set.register(registration.handle, registration.correlation),
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    reader_alive = false;
-                    break;
-                }
-            }
-        }
-        // Deliver whatever resolved.
-        for (correlation, result) in set.drain_ready() {
-            write_result(sink, correlation, result);
-        }
-        // Park on the signal that can actually arrive next.
-        if !set.is_empty() {
-            for (correlation, result) in set.wait_ready(POLL_TICK) {
-                write_result(sink, correlation, result);
-            }
-        } else if reader_alive {
-            match register_rx.recv_timeout(POLL_TICK) {
-                Ok(registration) => set.register(registration.handle, registration.correlation),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => reader_alive = false,
-            }
-        }
-    }
-}
-
-/// Admits one mutation; a refusal answers with the typed failure inline.
-fn submit_mutation(
+/// Admits one ticket whose callback writes its response frame. The ticket is
+/// counted before admission, since the callback may run before `admit`
+/// returns. A refusal (bad dims, zero k, full queue, a shut-down runtime)
+/// never fires the callback: it is settled here and its typed failure
+/// answered inline, and the connection lives on.
+fn admit(
     correlation: u64,
-    mutation: Mutation,
+    work: Work,
     options: &binvec::QueryOptions,
-    runtime: &Arc<ServiceRuntime>,
-    sink: &FrameSink,
-    register_tx: &mpsc::Sender<Registration>,
+    runtime: &ServiceRuntime,
+    sink: &Arc<FrameSink>,
 ) {
-    match runtime.try_submit_mutation(mutation, options) {
-        Ok(handle) => {
-            let _ = register_tx.send(Registration {
-                correlation,
-                handle,
-            });
-        }
-        Err(error) => sink.send(correlation, &Frame::Failed { error }),
+    sink.track();
+    let owed = Arc::clone(sink);
+    let admitted = runtime.admit(work, options, move |result| {
+        owed.send(correlation, &response(result));
+        owed.settle();
+    });
+    if let Err(error) = admitted {
+        sink.settle();
+        sink.send(correlation, &Frame::Failed { error });
     }
 }
 
-fn write_result(sink: &FrameSink, correlation: u64, result: TicketResult) {
-    let frame = match result {
-        // A mutation ticket resolves with its ack; a query ticket with its
-        // neighbors.
+/// The response frame for a resolved ticket: a mutation's ack, a query's
+/// neighbors, or the typed failure.
+fn response(result: TicketResult) -> Frame {
+    match result {
         Ok(completed) => match completed.mutation {
             Some(ack) => Frame::MutAck(ack),
             None => Frame::Completed {
@@ -480,6 +480,38 @@ fn write_result(sink: &FrameSink, correlation: u64, result: TicketResult) {
         Err(failed) => Frame::Failed {
             error: failed.error,
         },
-    };
-    sink.send(correlation, &frame);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::SimilarityBackend;
+    use crate::net::ApClient;
+    use crate::runtime::RuntimeConfig;
+    use baselines::LinearScan;
+    use binvec::generate::uniform_dataset;
+
+    #[test]
+    fn finished_connection_threads_are_reaped_on_accept() {
+        let data = uniform_dataset(20, 16, 91);
+        let runtime = Arc::new(
+            ServiceRuntime::try_new(RuntimeConfig::default().with_workers(1), move |_| {
+                Ok(Box::new(LinearScan::new(data.clone())) as Box<dyn SimilarityBackend>)
+            })
+            .unwrap(),
+        );
+        let server = ApServer::bind("127.0.0.1:0", runtime).unwrap();
+        for _ in 0..50 {
+            let mut client = ApClient::connect(server.local_addr()).unwrap();
+            client.ping().unwrap();
+        }
+        assert_eq!(server.connections_accepted(), 50);
+        let registered = server.connections.lock().unwrap().len();
+        assert!(
+            registered <= 5,
+            "{registered} connection handles kept for one live connection"
+        );
+        server.shutdown();
+    }
 }

@@ -1,6 +1,6 @@
 //! The serving runtime — the one front end: backends fed by a bounded,
-//! deadline/priority-aware admission queue, with per-ticket completion
-//! channels.
+//! deadline/priority-aware admission queue, each ticket resolved through one
+//! completion callback.
 //!
 //! The paper's throughput story (§VI: query multiplexing fills the symbol
 //! stream, batches dispatch at the multiplex width) assumes a server that is
@@ -9,10 +9,10 @@
 //! ```text
 //!  callers ──try_submit──▶ ScheduledQueue ──pop_batch──▶ worker 0 ─┐
 //!  (any thread;            (bounded; priority ▸          owns its  │ per-ticket
-//!   QueueFull = shed)       deadline ▸ FIFO;             backend / ├─▶ channels
-//!                           expired entries fail         prepared  │ (callers
-//!                           *without* dispatch)          engine)   │  block on
-//!                                                       worker N ─┘  their result)
+//!   QueueFull = shed)       deadline ▸ FIFO;             backend / ├─▶ callbacks
+//!                           expired entries fail         prepared  │ (fired on
+//!                           *without* dispatch)          engine)   │  the worker
+//!                                                       worker N ─┘  thread)
 //! ```
 //!
 //! * **Admission** — [`ServiceRuntime::try_submit`] validates the query,
@@ -29,9 +29,12 @@
 //!   [`crate::ApEngineBackend`] holding a [`ap_knn::PreparedEngine`], whose
 //!   pooled scratch makes the steady-state batch allocation-free). Workers
 //!   never share execution state; only the queue, cache, and stats are shared.
-//! * **Completion** — every ticket carries its own channel. Callers block on
-//!   *their* [`TicketHandle`], not on a global drain, so a slow batch never
-//!   delays the delivery of an unrelated finished one.
+//! * **Completion** — every ticket carries one callback, fired exactly once
+//!   by the thread that resolves it: the worker, or the admitting thread for
+//!   a cache hit or an expired deadline. [`ServiceRuntime::try_submit`] and
+//!   its siblings build that callback from a channel, so callers block on
+//!   *their* [`TicketHandle`], not on a global drain; the network server's
+//!   callback writes the response frame itself.
 //!
 //! With [`RuntimeConfig::workers`] at 0 no thread is spawned: the caller
 //! drives the same step with [`ServiceRuntime::poll`], which makes batch
@@ -181,95 +184,59 @@ pub struct FailedQuery {
     pub error: SearchError,
 }
 
-/// What a worker (or the admission path) delivers through a ticket's channel.
+/// What a worker (or the admission path) delivers through a ticket's callback.
 pub type TicketResult = Result<Completed, FailedQuery>;
 
-/// A completion callback registered through [`TicketHandle::on_complete`]:
-/// invoked exactly once, after the ticket's result becomes observable.
-type CompletionWaker = Box<dyn FnOnce() + Send>;
+/// What resolves one ticket: called exactly once, on whichever thread
+/// resolves it.
+type Callback = Box<dyn FnOnce(TicketResult) + Send>;
 
-/// Waker registration state shared between a [`TicketHandle`] and the
-/// runtime-side [`Completion`] that will resolve it.
-#[derive(Default)]
-struct WakeState {
-    /// Set (under the lock) strictly *after* the result is observable on the
-    /// ticket's channel, so a waker firing implies `try_wait` succeeds.
-    resolved: bool,
-    waker: Option<CompletionWaker>,
-}
-
-/// The runtime's side of one ticket: the channel sender plus the waker slot.
-/// Delivery and teardown both fire the waker exactly once, and only after the
-/// outcome (a result, or the channel's disconnection) is observable.
+/// The runtime's side of one ticket. Delivery fires the callback with the
+/// result; a ticket dropped undelivered (its worker died mid-batch, or the
+/// runtime was torn down around it) fires it with the disconnection failure,
+/// so a callback is never lost.
 struct Completion {
-    /// `None` only transiently during [`Drop`], where the sender is released
-    /// *before* the waker fires so a woken consumer observes the
-    /// disconnection instead of an empty, still-connected channel.
-    tx: Option<mpsc::Sender<TicketResult>>,
-    wake: Arc<Mutex<WakeState>>,
-    delivered: bool,
+    ticket: QueryTicket,
+    /// `None` once fired — or disarmed, when admission was refused and the
+    /// caller answers the refusal itself.
+    callback: Option<Callback>,
 }
 
 impl Completion {
-    /// Creates the linked completion/handle pair for one ticket.
-    fn channel(ticket: QueryTicket) -> (Self, TicketHandle) {
-        let (tx, rx) = mpsc::channel();
-        let wake = Arc::new(Mutex::new(WakeState::default()));
-        (
-            Self {
-                tx: Some(tx),
-                wake: Arc::clone(&wake),
-                delivered: false,
-            },
-            TicketHandle { ticket, rx, wake },
-        )
-    }
-
-    /// Sends the result and fires any registered waker. The send happens
-    /// first, so by the time a waker (or any later registration) observes
-    /// `resolved`, `try_wait` is guaranteed to return the result.
-    fn deliver(&mut self, result: TicketResult) {
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(result);
-        }
-        self.delivered = true;
-        self.fire();
-    }
-
-    fn fire(&self) {
-        let waker = {
-            let mut state = self.wake.lock().expect("waker state poisoned");
-            state.resolved = true;
-            state.waker.take()
-        };
-        if let Some(waker) = waker {
-            waker();
+    fn deliver(mut self, result: TicketResult) {
+        if let Some(callback) = self.callback.take() {
+            callback(result);
         }
     }
 }
 
 impl Drop for Completion {
     fn drop(&mut self) {
-        if !self.delivered {
-            // Torn down without a result (the runtime died): release the
-            // sender first so the receiver reads as disconnected, then wake —
-            // the consumer resolves the ticket as the disconnection failure
-            // instead of waiting forever.
-            self.tx = None;
-            self.fire();
+        if let Some(callback) = self.callback.take() {
+            callback(Err(disconnected(self.ticket)));
         }
+    }
+}
+
+/// The failure a ticket resolves with when the runtime was torn down before
+/// serving it.
+fn disconnected(ticket: QueryTicket) -> FailedQuery {
+    FailedQuery {
+        ticket,
+        query: BinaryVector::zeros(0),
+        error: SearchError::Backend {
+            backend: "runtime".to_string(),
+            reason: "completion channel disconnected".to_string(),
+        },
     }
 }
 
 /// The caller's side of one submitted query: block on [`Self::wait`] for
 /// *this* query's result — no global drain, no ordering coupling to other
-/// callers' tickets — or register a completion waker via
-/// [`Self::on_complete`] so a multiplexer (e.g. [`crate::net::CompletionSet`])
-/// can track thousands of in-flight tickets without polling any of them.
+/// callers' tickets — or poll it with [`Self::try_wait`].
 pub struct TicketHandle {
     ticket: QueryTicket,
     rx: mpsc::Receiver<TicketResult>,
-    wake: Arc<Mutex<WakeState>>,
 }
 
 impl std::fmt::Debug for TicketHandle {
@@ -286,36 +253,6 @@ impl TicketHandle {
         self.ticket
     }
 
-    /// Registers a callback fired exactly once when this ticket resolves —
-    /// the non-blocking completion surface. If the ticket has already
-    /// resolved (including a cache hit delivered at admission, or a runtime
-    /// torn down before serving it), the callback runs immediately on the
-    /// registering thread; otherwise it runs on the thread that resolves the
-    /// ticket. Either way, by the time it runs [`Self::try_wait`] returns
-    /// `Some`. Registering again replaces an unfired callback.
-    pub fn on_complete(&self, waker: impl FnOnce() + Send + 'static) {
-        let mut state = self.wake.lock().expect("waker state poisoned");
-        if state.resolved {
-            drop(state);
-            waker();
-        } else {
-            state.waker = Some(Box::new(waker));
-        }
-    }
-
-    /// The failure delivered when the completion channel disconnected without
-    /// a result — the runtime was torn down before this ticket was served.
-    fn disconnected(&self) -> FailedQuery {
-        FailedQuery {
-            ticket: self.ticket,
-            query: BinaryVector::zeros(0),
-            error: SearchError::Backend {
-                backend: "runtime".to_string(),
-                reason: "completion channel disconnected".to_string(),
-            },
-        }
-    }
-
     /// Blocks until the query resolves.
     ///
     /// # Errors
@@ -324,7 +261,7 @@ impl TicketHandle {
     pub fn wait(self) -> Result<Completed, FailedQuery> {
         match self.rx.recv() {
             Ok(result) => result,
-            Err(_) => Err(self.disconnected()),
+            Err(_) => Err(disconnected(self.ticket)),
         }
     }
 
@@ -336,7 +273,7 @@ impl TicketHandle {
         match self.rx.try_recv() {
             Ok(result) => Some(result),
             Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(self.disconnected())),
+            Err(mpsc::TryRecvError::Disconnected) => Some(Err(disconnected(self.ticket))),
         }
     }
 
@@ -347,7 +284,7 @@ impl TicketHandle {
         match self.rx.recv_timeout(timeout) {
             Ok(result) => Some(result),
             Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(self.disconnected())),
+            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(disconnected(self.ticket))),
         }
     }
 }
@@ -355,7 +292,7 @@ impl TicketHandle {
 /// What one admitted ticket asks a worker to do: dispatch a query, or apply
 /// a corpus mutation. Both flavors ride the same priority ▸ deadline ▸ FIFO
 /// queue; workers never batch the two kinds together.
-enum Work {
+pub(crate) enum Work {
     Query(BinaryVector),
     Mutation(Mutation),
 }
@@ -368,6 +305,14 @@ impl Work {
             Self::Query(query) => query,
             Self::Mutation(Mutation::Insert { vector }) => vector,
             Self::Mutation(Mutation::Delete { .. }) => BinaryVector::zeros(0),
+        }
+    }
+
+    /// The submission counter of this kind of ticket.
+    fn submitted<'s>(&self, stats: &'s mut ServiceStats) -> &'s mut u64 {
+        match self {
+            Self::Query(_) => &mut stats.queries_submitted,
+            Self::Mutation(_) => &mut stats.mutations_submitted,
         }
     }
 
@@ -400,9 +345,7 @@ fn resolve(
     outcome: Result<(Vec<Neighbor>, Option<MutAck>), SearchError>,
 ) {
     let Pending {
-        work,
-        mut completion,
-        ..
+        work, completion, ..
     } = entry.payload;
     let (ticket, query) = (entry.ticket, work.into_vector());
     completion.deliver(match outcome {
@@ -621,9 +564,7 @@ impl ServiceRuntime {
         query: BinaryVector,
         options: &QueryOptions,
     ) -> Result<TicketHandle, SearchError> {
-        options.validate()?;
-        self.check_dims(&query)?;
-        self.admit(Work::Query(query), options)
+        self.submit(Work::Query(query), options)
     }
 
     /// Submits one corpus mutation (insert or delete) as a ticket riding the
@@ -651,11 +592,17 @@ impl ServiceRuntime {
         mutation: Mutation,
         options: &QueryOptions,
     ) -> Result<TicketHandle, SearchError> {
-        options.validate()?;
-        if let Mutation::Insert { vector } = &mutation {
-            self.check_dims(vector)?;
-        }
-        self.admit(Work::Mutation(mutation), options)
+        self.submit(Work::Mutation(mutation), options)
+    }
+
+    /// Admits `work` with a callback that sends its result to the returned
+    /// handle.
+    fn submit(&self, work: Work, options: &QueryOptions) -> Result<TicketHandle, SearchError> {
+        let (tx, rx) = mpsc::channel();
+        let ticket = self.admit(work, options, move |result| {
+            let _ = tx.send(result);
+        })?;
+        Ok(TicketHandle { ticket, rx })
     }
 
     fn check_dims(&self, vector: &BinaryVector) -> Result<(), SearchError> {
@@ -671,14 +618,33 @@ impl ServiceRuntime {
         Ok(())
     }
 
-    /// The one admission path behind queries and mutations: an expired
-    /// deadline fails the ticket on the spot (typed, ticketed, never
-    /// dispatched), a cached query completes on the spot without occupying
-    /// the queue, and everything else is enqueued or refused.
-    fn admit(&self, work: Work, options: &QueryOptions) -> Result<TicketHandle, SearchError> {
+    /// The one admission path behind queries and mutations: validate, then
+    /// fail an expired deadline on the spot (typed, ticketed, never
+    /// dispatched), complete a cached query on the spot without occupying
+    /// the queue, and enqueue everything else or refuse it.
+    ///
+    /// `deliver` fires exactly once for an admitted ticket, on whichever
+    /// thread resolves it — a worker, or this thread (before `admit`
+    /// returns) for a cache hit or an expired deadline. A refused admission
+    /// returns the error and never fires it.
+    pub(crate) fn admit(
+        &self,
+        work: Work,
+        options: &QueryOptions,
+        deliver: impl FnOnce(TicketResult) + Send + 'static,
+    ) -> Result<QueryTicket, SearchError> {
+        options.validate()?;
+        match &work {
+            Work::Query(vector) | Work::Mutation(Mutation::Insert { vector }) => {
+                self.check_dims(vector)?;
+            }
+            Work::Mutation(Mutation::Delete { .. }) => {}
+        }
         let ticket = QueryTicket(self.next_ticket.fetch_add(1, Ordering::Relaxed));
-        let (completion, handle) = Completion::channel(ticket);
-        let is_query = matches!(work, Work::Query(_));
+        let completion = Completion {
+            ticket,
+            callback: Some(Box::new(deliver)),
+        };
         let expired = options.deadline.is_some_and(|d| d.is_expired());
         let cached = match &work {
             Work::Query(query) if !expired => self.shared.cache().get(query, options),
@@ -695,22 +661,14 @@ impl ServiceRuntime {
                 submitted_at: Instant::now(),
             },
         };
-        let count_submitted = |stats: &mut ServiceStats| {
-            if is_query {
-                stats.queries_submitted += 1;
-            } else {
-                stats.mutations_submitted += 1;
-            }
-        };
-
         if expired {
             {
                 let mut stats = self.shared.stats();
-                count_submitted(&mut stats);
+                *entry.payload.work.submitted(&mut stats) += 1;
                 entry.payload.work.count_shed(&mut stats);
             }
             resolve(entry, Err(SearchError::DeadlineExceeded));
-            return Ok(handle);
+            return Ok(ticket);
         }
         if let Some(neighbors) = cached {
             {
@@ -719,24 +677,39 @@ impl ServiceRuntime {
                 stats.queries_served += 1;
             }
             resolve(entry, Ok((neighbors, None)));
-            return Ok(handle);
+            return Ok(ticket);
         }
-        match self.shared.queue.try_push(entry) {
-            Ok(()) => {
-                count_submitted(&mut self.shared.stats());
-                Ok(handle)
-            }
-            Err(PushRefused::Full(_)) => {
-                self.shared.stats().queue_full_rejections += 1;
-                Err(SearchError::QueueFull {
+        // Counted before the push: once queued, a worker may resolve the
+        // ticket (and a wire client read its answer) before this thread
+        // runs again, and no snapshot may show it served but not submitted.
+        *entry.payload.work.submitted(&mut self.shared.stats()) += 1;
+        let (mut refused, error) = match self.shared.queue.try_push(entry) {
+            Ok(()) => return Ok(ticket),
+            Err(PushRefused::Full(entry)) => (
+                entry,
+                SearchError::QueueFull {
                     capacity: self.shared.queue.capacity(),
-                })
+                },
+            ),
+            Err(PushRefused::Closed(entry)) => (
+                entry,
+                SearchError::Backend {
+                    backend: self.backend_name.clone(),
+                    reason: "runtime has been shut down".to_string(),
+                },
+            ),
+        };
+        {
+            let mut stats = self.shared.stats();
+            *refused.payload.work.submitted(&mut stats) -= 1;
+            if matches!(error, SearchError::QueueFull { .. }) {
+                stats.queue_full_rejections += 1;
             }
-            Err(PushRefused::Closed(_)) => Err(SearchError::Backend {
-                backend: self.backend_name.clone(),
-                reason: "runtime has been shut down".to_string(),
-            }),
         }
+        // The caller answers a refusal itself: disarm the callback so it
+        // never fires.
+        refused.payload.completion.callback = None;
+        Err(error)
     }
 
     /// Runs the serving step on the calling thread until the queue is empty
@@ -1380,7 +1353,7 @@ mod tests {
     }
 
     #[test]
-    fn on_complete_wakes_after_resolution_and_immediately_for_resolved_tickets() {
+    fn callback_fires_once_on_resolution_and_synchronously_for_an_expired_deadline() {
         let dims = 16;
         let runtime = linear_runtime(
             30,
@@ -1392,42 +1365,76 @@ mod tests {
                 .with_options(QueryOptions::top(3)),
         );
         let query = uniform_queries(1, dims, 51).pop().unwrap();
+        let admitting = std::thread::current().id();
 
-        // Registered before resolution: fires when the worker delivers, and by
-        // then try_wait is guaranteed to observe the result.
-        let handle = runtime.try_submit(query.clone()).unwrap();
+        // Resolved by the worker: the callback runs there, once, with the
+        // result. It owns the only sender, so the channel disconnects once it
+        // has run.
         let (tx, rx) = mpsc::channel();
-        handle.on_complete(move || tx.send(()).unwrap());
-        rx.recv_timeout(Duration::from_secs(30)).expect("waker");
-        assert!(handle.try_wait().expect("resolved after wake").is_ok());
-
-        // Registered after resolution (an admission-path completion): fires
-        // immediately on the registering thread.
-        let expired = runtime
-            .try_submit_with(
-                query,
-                &QueryOptions::top(3).by(Deadline::at(Instant::now() - Duration::from_millis(1))),
+        runtime
+            .admit(
+                Work::Query(query.clone()),
+                &QueryOptions::top(3),
+                move |result| {
+                    tx.send((std::thread::current().id(), result)).unwrap();
+                },
             )
             .unwrap();
-        let fired = std::sync::Arc::new(AtomicU64::new(0));
-        let observer = std::sync::Arc::clone(&fired);
-        expired.on_complete(move || {
-            observer.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(fired.load(Ordering::SeqCst), 1, "immediate fire");
+        let (thread, result) = rx.recv_timeout(Duration::from_secs(30)).expect("callback");
+        assert_ne!(thread, admitting, "fired by the worker");
+        assert_eq!(result.unwrap().neighbors.len(), 3);
+        assert!(rx.recv().is_err(), "fired exactly once");
+
+        // An expired deadline resolves at admission: the callback has run on
+        // the admitting thread by the time `admit` returns.
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&fired);
+        let expired =
+            QueryOptions::top(3).by(Deadline::at(Instant::now() - Duration::from_millis(1)));
+        runtime
+            .admit(Work::Query(query), &expired, move |result| {
+                let error = result.map(|_| ()).map_err(|failed| failed.error);
+                log.lock()
+                    .unwrap()
+                    .push((std::thread::current().id(), error));
+            })
+            .unwrap();
         assert_eq!(
-            expired.wait().unwrap_err().error,
-            SearchError::DeadlineExceeded
+            *fired.lock().unwrap(),
+            vec![(admitting, Err(SearchError::DeadlineExceeded))]
         );
         runtime.shutdown();
+
+        // A refused admission returns its error and never fires the callback.
+        let full = linear_runtime(
+            30,
+            dims,
+            RuntimeConfig::default()
+                .with_workers(0)
+                .with_queue_capacity(1)
+                .with_cache_capacity(0),
+        );
+        let queued = full.try_submit(BinaryVector::zeros(dims)).unwrap();
+        let refused = full.admit(
+            Work::Query(BinaryVector::zeros(dims)),
+            &QueryOptions::top(3),
+            |_| panic!("a refused admission fired its callback"),
+        );
+        assert_eq!(refused.unwrap_err(), SearchError::QueueFull { capacity: 1 });
+        assert_eq!(
+            full.stats().queries_submitted,
+            1,
+            "the refusal is not counted"
+        );
+        full.poll();
+        assert!(queued.wait().is_ok());
     }
 
     #[test]
     fn runtime_teardown_wakes_undelivered_tickets_as_disconnections() {
-        // A runtime dropped mid-flight must still fire every registered waker,
-        // and the woken handle must resolve (as the disconnection failure)
-        // rather than read as pending. Gate the backend so the ticket cannot
-        // be delivered before the drop.
+        // A runtime dropped with a ticket in flight still fires its callback
+        // exactly once: with the drained result (shutdown serves what is
+        // queued) or with the disconnection failure.
         let dims = 16;
         for workers in [0, 1] {
             let runtime = linear_runtime(
@@ -1440,13 +1447,31 @@ mod tests {
                     .with_options(QueryOptions::top(2)),
             );
             let query = uniform_queries(1, dims, 53).pop().unwrap();
-            let handle = runtime.try_submit(query).unwrap();
             let (tx, rx) = mpsc::channel();
-            handle.on_complete(move || tx.send(()).unwrap());
-            drop(runtime); // shutdown drains: the ticket is delivered, waker fires
-            rx.recv_timeout(Duration::from_secs(30)).expect("waker");
-            assert!(handle.try_wait().is_some(), "woken handle must resolve");
+            let ticket = runtime
+                .admit(Work::Query(query), &QueryOptions::top(2), move |result| {
+                    tx.send(result).unwrap();
+                })
+                .unwrap();
+            drop(runtime);
+            match rx.recv_timeout(Duration::from_secs(30)).expect("callback") {
+                Ok(completed) => assert_eq!(completed.ticket, ticket),
+                Err(failed) => assert_eq!(failed.error, disconnected(ticket).error),
+            }
+            assert!(rx.recv().is_err(), "fired exactly once");
         }
+
+        // A ticket dropped undelivered — its worker died mid-batch — fires
+        // with the disconnection failure.
+        let (tx, rx) = mpsc::channel();
+        drop(Completion {
+            ticket: QueryTicket(7),
+            callback: Some(Box::new(move |result| tx.send(result).unwrap())),
+        });
+        let failed = rx.recv().unwrap().unwrap_err();
+        assert_eq!(failed.ticket, QueryTicket(7));
+        assert_eq!(failed.error, disconnected(QueryTicket(7)).error);
+        assert!(rx.recv().is_err(), "fired exactly once");
     }
 
     fn live_runtime(n: usize, dims: usize, config: RuntimeConfig) -> ServiceRuntime {

@@ -69,10 +69,10 @@ fn main() {
     }
     println!("8 one-shot searches verified against LinearScan");
 
-    // 3. Pipelining: keep 16 queries in flight on this one socket. The
-    //    server's writer thread multiplexes every in-flight ticket through a
-    //    CompletionSet, so answers arrive in completion order — the
-    //    correlation id, not arrival order, matches them back.
+    // 3. Pipelining: keep 64 queries in flight on this one socket. Each
+    //    answer is written by the runtime thread that resolves it, so answers
+    //    arrive in completion order — the correlation id, not arrival order,
+    //    matches them back.
     let mut in_flight: HashMap<u64, &BinaryVector> = HashMap::new();
     for query in &queries {
         let correlation = client

@@ -106,10 +106,10 @@ pub mod prelude {
         PreparedEngine, RestoreReport, StreamLayout, WalConfig, WalError, WalGauges,
     };
     pub use ap_serve::{
-        ApClient, ApEngineBackend, ApServer, BackendSpec, BaselineKind, CompletionSet, FailedQuery,
-        Frame, FrameBuffer, IndexKind, LiveBackend, Metric, NetError, Provenance, Response,
-        RetryPolicy, RuntimeConfig, SearchPipeline, ServiceRuntime, ServiceStats,
-        SimilarityBackend, StatsFrame, TicketHandle, TicketResult,
+        ApClient, ApEngineBackend, ApServer, BackendSpec, BaselineKind, FailedQuery, Frame,
+        FrameBuffer, IndexKind, LiveBackend, Metric, NetError, Provenance, Response, RetryPolicy,
+        RuntimeConfig, SearchPipeline, ServiceRuntime, ServiceStats, SimilarityBackend, StatsFrame,
+        TicketHandle, TicketResult,
     };
     pub use ap_sim::{
         ApGeneration, AutomataNetwork, CompiledPcre, DeviceConfig, PcreSet, Simulator, TimingModel,

@@ -1,16 +1,17 @@
 //! Server lifecycle integration tests: real loopback TCP, concurrent client
 //! fleets with poison queries in flight, graceful shutdown draining, failure
-//! containment per connection, and single-thread multiplexing of a thousand
-//! in-flight tickets.
+//! containment per connection, a thousand in-flight tickets on one
+//! connection, exactly one response per request under queue refusals, and a
+//! peer that stops reading.
 
-use ap_serve::net::{ApClient, ApServer, CompletionSet, NetError};
+use ap_serve::net::{ApClient, ApServer, NetError};
 use ap_serve::{
     BackendBatch, MetricEntry, Metrics, QueryOptions, RuntimeConfig, SearchError, ServiceRuntime,
     SimilarityBackend,
 };
 use baselines::{LinearScan, SearchIndex};
 use binvec::generate::{uniform_dataset, uniform_queries};
-use binvec::BinaryVector;
+use binvec::{BinaryVector, Neighbor};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -395,57 +396,287 @@ fn wrong_width_queries_fail_typed_and_the_connection_keeps_serving() {
         .shutdown();
 }
 
+/// A runtime whose `workers` dispatches wait on `gate`, serving top-`k`
+/// over `vectors` uniform vectors.
+fn gated_runtime(
+    dims: usize,
+    vectors: usize,
+    workers: usize,
+    queue: usize,
+    k: usize,
+    gate: &Arc<Gate>,
+) -> Arc<ServiceRuntime> {
+    let data = uniform_dataset(vectors, dims, 78);
+    let gate = Arc::clone(gate);
+    Arc::new(
+        ServiceRuntime::try_new(
+            RuntimeConfig::default()
+                .with_workers(workers)
+                .with_queue_capacity(queue)
+                .with_cache_capacity(0)
+                .with_options(QueryOptions::top(k)),
+            move |_| {
+                Ok(Box::new(Gated {
+                    inner: LinearScan::new(data.clone()),
+                    gate: Arc::clone(&gate),
+                }) as Box<dyn SimilarityBackend>)
+            },
+        )
+        .unwrap(),
+    )
+}
+
+/// Polls `done` every few milliseconds until it holds or `RESOLVE_TIMEOUT`
+/// passes.
+fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = Instant::now() + RESOLVE_TIMEOUT;
+    while !done() {
+        assert!(Instant::now() < deadline, "{what} wedged");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn one_thread_multiplexes_a_thousand_gated_tickets_without_blocking_waits() {
+    // A thousand pipelined submits on one connection, all admitted behind a
+    // closed gate: the connection's one thread never blocks on a ticket, and
+    // once the gate opens every correlation id gets exactly one answer.
     let dims = 16;
     let tickets = 1_000usize;
-    let data = uniform_dataset(60, dims, 78);
     let gate = Gate::new();
+    let runtime = gated_runtime(dims, 60, 2, tickets + 16, 3, &gate);
+    let server = ApServer::bind("127.0.0.1:0", Arc::clone(&runtime)).unwrap();
+    let mut client = ApClient::connect(server.local_addr()).expect("connect");
 
-    let backend_data = data.clone();
-    let backend_gate = Arc::clone(&gate);
-    let runtime = ServiceRuntime::try_new(
-        RuntimeConfig::default()
-            .with_workers(2)
-            .with_queue_capacity(tickets + 16)
-            .with_cache_capacity(0)
-            .with_options(QueryOptions::top(3)),
-        move |_| {
-            Ok(Box::new(Gated {
-                inner: LinearScan::new(backend_data.clone()),
-                gate: Arc::clone(&backend_gate),
-            }) as Box<dyn SimilarityBackend>)
-        },
-    )
-    .unwrap();
-
-    // Put 1000 tickets in flight behind the closed gate, all registered on
-    // one CompletionSet owned by this one thread: no per-ticket wait() ever
-    // happens, registration is non-blocking even though nothing can resolve.
-    let queries = uniform_queries(tickets, dims, 79);
-    let mut set = CompletionSet::new();
-    for (i, q) in queries.iter().enumerate() {
-        set.register(runtime.try_submit(q.clone()).expect("submit"), i);
+    let mut answers: HashMap<u64, usize> = HashMap::new();
+    for q in uniform_queries(tickets, dims, 79) {
+        let correlation = client.submit(q, QueryOptions::top(3)).expect("submit");
+        answers.insert(correlation, 0);
     }
-    assert_eq!(set.len(), tickets);
+    wait_until("admission", || {
+        runtime.stats().queries_submitted == tickets as u64
+    });
+    // Nothing resolves while the gate is closed.
+    client
+        .set_io_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
     assert!(
-        set.drain_ready().is_empty(),
+        matches!(client.recv_completion(), Err(NetError::Timeout { .. })),
         "nothing resolves while the gate is closed"
     );
+    assert_eq!(runtime.stats().queries_served, 0);
 
     gate.open();
-    let mut seen = vec![false; tickets];
-    let deadline = Instant::now() + RESOLVE_TIMEOUT;
-    while !set.is_empty() {
-        assert!(Instant::now() < deadline, "multiplexer wedged");
-        for (tag, result) in set.wait_ready(Duration::from_millis(200)) {
-            assert!(!seen[tag], "ticket {tag} resolved twice");
-            seen[tag] = true;
-            result.expect("gated query succeeds once released");
+    client.set_io_timeout(Some(RESOLVE_TIMEOUT)).unwrap();
+    for _ in 0..tickets {
+        let (correlation, outcome) = client.recv_completion().expect("completion");
+        outcome.expect("gated query succeeds once released");
+        *answers
+            .get_mut(&correlation)
+            .expect("a submitted correlation id") += 1;
+    }
+    assert!(answers.values().all(|&n| n == 1), "one answer per ticket");
+
+    drop(client);
+    let stats = server.shutdown();
+    assert_eq!(stats.queries_served, tickets as u64);
+    Arc::try_unwrap(runtime)
+        .unwrap_or_else(|_| panic!("server released its runtime handle"))
+        .shutdown();
+}
+
+#[test]
+fn queue_refusals_and_admitted_tickets_each_answer_exactly_once() {
+    // Sixteen pipelined submits into a two-slot queue in front of one gated
+    // worker: most are refused at admission and answered inline by the
+    // connection thread, the rest by the worker once the gate opens. Every
+    // correlation id is answered once, and the refusals on the wire are the
+    // runtime's count of them.
+    let dims = 16;
+    let submits = 16usize;
+    let gate = Gate::new();
+    let runtime = gated_runtime(dims, 60, 1, 2, 3, &gate);
+    let server = ApServer::bind("127.0.0.1:0", Arc::clone(&runtime)).unwrap();
+    let mut client = ApClient::connect(server.local_addr()).expect("connect");
+
+    let mut answers: HashMap<u64, usize> = HashMap::new();
+    for q in uniform_queries(submits, dims, 81) {
+        let correlation = client.submit(q, QueryOptions::top(3)).expect("submit");
+        answers.insert(correlation, 0);
+    }
+    wait_until("admission", || {
+        let stats = runtime.stats();
+        stats.queries_submitted + stats.queue_full_rejections == submits as u64
+    });
+    gate.open();
+
+    let mut queue_full = 0u64;
+    for _ in 0..submits {
+        let (correlation, outcome) = client.recv_completion().expect("one answer each");
+        *answers
+            .get_mut(&correlation)
+            .expect("a submitted correlation id") += 1;
+        match outcome {
+            Ok(neighbors) => assert_eq!(neighbors.len(), 3),
+            Err(SearchError::QueueFull { capacity }) => {
+                assert_eq!(capacity, 2);
+                queue_full += 1;
+            }
+            Err(other) => panic!("unexpected failure {other:?}"),
         }
     }
-    assert!(seen.iter().all(|&s| s), "all {tickets} tickets resolved");
-    runtime.shutdown();
+    assert!(answers.values().all(|&n| n == 1), "one answer per request");
+    // Nothing more arrives: a refused ticket is never answered twice.
+    client
+        .set_io_timeout(Some(Duration::from_millis(200)))
+        .unwrap();
+    assert!(matches!(
+        client.recv_completion(),
+        Err(NetError::Timeout { .. })
+    ));
+
+    let stats = runtime.stats();
+    assert!(queue_full > 0, "the two-slot queue refused some submits");
+    assert_eq!(queue_full, stats.queue_full_rejections);
+    assert_eq!(stats.queries_served, submits as u64 - queue_full);
+
+    drop(client);
+    server.shutdown();
+    Arc::try_unwrap(runtime)
+        .unwrap_or_else(|_| panic!("server released its runtime handle"))
+        .shutdown();
+}
+
+/// A backend answering every query with the same `answer`, cut to `k`: large
+/// responses that cost a copy to compute.
+struct Bulky {
+    dims: usize,
+    answer: Vec<Neighbor>,
+}
+
+impl SimilarityBackend for Bulky {
+    fn name(&self) -> String {
+        "bulky".to_string()
+    }
+    fn len(&self) -> usize {
+        self.answer.len()
+    }
+    fn dims(&self) -> usize {
+        self.dims
+    }
+    fn serve_batch(&self, queries: &[BinaryVector], k: usize) -> BackendBatch {
+        let answer = &self.answer[..k.min(self.answer.len())];
+        BackendBatch::host_only(vec![answer.to_vec(); queries.len()])
+    }
+}
+
+/// The largest socket buffer the kernel may grant, in bytes: the maxima of
+/// `tcp_rmem` and `tcp_wmem` summed (their third fields), or 16 MiB where
+/// they cannot be read.
+fn socket_buffer_ceiling() -> usize {
+    let max_of = |knob: &str| -> Option<usize> {
+        std::fs::read_to_string(format!("/proc/sys/net/ipv4/{knob}"))
+            .ok()?
+            .split_whitespace()
+            .nth(2)?
+            .parse()
+            .ok()
+    };
+    match (max_of("tcp_rmem"), max_of("tcp_wmem")) {
+        (Some(receive), Some(send)) => receive + send,
+        _ => 16 << 20,
+    }
+}
+
+#[test]
+fn a_peer_that_stops_reading_is_dropped_without_stalling_other_clients() {
+    // Client A pipelines enough large answers to fill both loopback socket
+    // buffers at their largest and never reads. The worker writing to A gives
+    // up after the server's two-second budget for one frame, and A is
+    // disconnected; client B is served meanwhile, and shutdown is prompt.
+    const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+    let dims = 16;
+    let vectors = 1 << 16;
+    // A neighbor is 12 bytes on the wire: enough answers for twice the
+    // buffer ceiling.
+    let answer_bytes = vectors * 12;
+    let queries = 2 * socket_buffer_ceiling().div_ceil(answer_bytes) + 8;
+    let answer = (0..vectors)
+        .map(|id| Neighbor {
+            id,
+            distance: (id % 17) as u32,
+        })
+        .collect();
+    let runtime = Arc::new(
+        ServiceRuntime::try_shared(
+            RuntimeConfig::default()
+                .with_workers(2)
+                .with_queue_capacity(queries + 16)
+                .with_cache_capacity(0),
+            Arc::new(Bulky { dims, answer }),
+        )
+        .unwrap(),
+    );
+    let server = ApServer::bind("127.0.0.1:0", Arc::clone(&runtime)).unwrap();
+
+    let mut stalled = ApClient::connect(server.local_addr()).expect("connect A");
+    for q in uniform_queries(queries, dims, 82) {
+        stalled
+            .submit(q, QueryOptions::top(vectors))
+            .expect("submit");
+    }
+    wait_until("admission", || {
+        runtime.stats().queries_submitted == queries as u64
+    });
+
+    // B queues behind A's backlog: its wait is the one stalled write, and
+    // after it A's owed frames are skipped, not written.
+    let mut client = ApClient::connect(server.local_addr()).expect("connect B");
+    let started = Instant::now();
+    let neighbors = client
+        .search(
+            uniform_queries(1, dims, 83).pop().unwrap(),
+            QueryOptions::top(5),
+        )
+        .expect("B is served while A stalls");
+    assert_eq!(neighbors.len(), 5);
+    assert!(
+        started.elapsed() < 2 * WRITE_TIMEOUT,
+        "B waited {:?}",
+        started.elapsed()
+    );
+
+    // Shutdown drains every ticket, A's included: the write blocked on A
+    // gives up at the timeout and A's remaining answers are dropped.
+    drop(client);
+    let stopping = Instant::now();
+    let stats = server.shutdown();
+    assert!(
+        stopping.elapsed() < 2 * WRITE_TIMEOUT,
+        "shutdown took {:?}",
+        stopping.elapsed()
+    );
+
+    // A was disconnected mid-stream: what reached it ends in a closed or
+    // reset socket short of its answers, never in a read that times out on
+    // a live connection.
+    stalled.set_io_timeout(Some(RESOLVE_TIMEOUT)).unwrap();
+    let mut answered = 0;
+    let closed = loop {
+        match stalled.recv_completion() {
+            Ok(_) => answered += 1,
+            Err(error) => break error,
+        }
+    };
+    assert!(
+        !matches!(closed, NetError::Timeout { .. }),
+        "A's connection stayed open: {closed:?}"
+    );
+    assert!(answered < queries, "A got all {queries} answers");
+    assert_eq!(stats.queries_submitted, queries as u64 + 1);
+    Arc::try_unwrap(runtime)
+        .unwrap_or_else(|_| panic!("server released its runtime handle"))
+        .shutdown();
 }
 
 #[test]
